@@ -8,12 +8,9 @@
 // simulate.
 #include <benchmark/benchmark.h>
 
-#include <string>
-
 #include "adversary/arrivals.hpp"
 #include "adversary/jammer.hpp"
 #include "core/rng.hpp"
-#include "core/rng_simd.hpp"
 #include "protocols/low_sensing.hpp"
 #include "protocols/mw_full_sensing.hpp"
 #include "sim/event_engine.hpp"
@@ -121,14 +118,14 @@ BENCHMARK(BM_EventEngineJammed)->Arg(2048)->Unit(benchmark::kMillisecond);
 // Coin-pipeline grid: span in {2^10, 2^16, 2^20} x p in {0.01, 0.5, 0.99}
 // (p arrives as range(1)/1000 — google-benchmark args are integral). The
 // p sweep matters because the per-slot baseline branches on the coin
-// while the batched/SIMD kernels are branch-free: skew makes the scalar
-// loop look better than it is at p=0.5.
+// while the batched loop is branch-free: skew makes the scalar loop look
+// better than it is at p=0.5.
 #define LOWSENSE_COIN_SPAN_GRID \
   ArgsProduct({{1 << 10, 1 << 16, 1 << 20}, {10, 500, 990}})
 
 void BM_ScalarCoinSpan(benchmark::State& state) {
   // The pre-batching quiet-span replay: one CounterRng Bernoulli call per
-  // slot. Baseline for BM_BatchedCoinSpan / BM_SimdCoinSpan deltas.
+  // slot. Baseline for BM_BatchedCoinSpan deltas.
   const CounterRng rng(1, 0xb1);
   const auto span = static_cast<std::uint64_t>(state.range(0));
   const double p = static_cast<double>(state.range(1)) / 1000.0;
@@ -145,29 +142,8 @@ void BM_ScalarCoinSpan(benchmark::State& state) {
 BENCHMARK(BM_ScalarCoinSpan)->LOWSENSE_COIN_SPAN_GRID;
 
 void BM_BatchedCoinSpan(benchmark::State& state) {
-  // The batched replay, PINNED to the scalar kernel tier: integer-
-  // threshold coins in 64-slot popcount blocks. This is the pre-SIMD
-  // batched baseline; BM_SimdCoinSpan runs the same call through the
-  // dispatched tier, so the two series separate the batching win from
-  // the vectorization win.
-  const CounterRng rng(1, 0xb1);
-  const simd::CoinKernels& scalar = simd::detail::scalar_kernels();
-  const auto span = static_cast<std::uint64_t>(state.range(0));
-  const double p = static_cast<double>(state.range(1)) / 1000.0;
-  const std::uint64_t thr = CounterRng::bernoulli_threshold(p);
-  Slot lo = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scalar.count_span(rng.key(), lo, lo + span - 1, thr, 0, ~0ULL));
-    lo += span;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(span));
-}
-BENCHMARK(BM_BatchedCoinSpan)->LOWSENSE_COIN_SPAN_GRID;
-
-void BM_SimdCoinSpan(benchmark::State& state) {
-  // count_bernoulli_span through the runtime-dispatched SIMD tier (the
-  // production path; see the "simd" label for which tier this host ran).
+  // The batched replay: count_bernoulli_span's integer-threshold coins
+  // in 64-slot popcount blocks.
   const CounterRng rng(1, 0xb1);
   const auto span = static_cast<std::uint64_t>(state.range(0));
   const double p = static_cast<double>(state.range(1)) / 1000.0;
@@ -178,15 +154,13 @@ void BM_SimdCoinSpan(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(span));
-  state.SetLabel(std::string("simd=") + simd::active_tier_name());
 }
-BENCHMARK(BM_SimdCoinSpan)->LOWSENSE_COIN_SPAN_GRID;
+BENCHMARK(BM_BatchedCoinSpan)->LOWSENSE_COIN_SPAN_GRID;
 
 void BM_RandbandReplay(benchmark::State& state) {
   // The jittered randband quiet-span replay (three slot-keyed hashes per
-  // slot: jam coin + two band-edge jitters) through the dispatched
-  // kernel — what RandomContentionJammer::count_quiet_range costs under
-  // jitter.
+  // slot: jam coin + two band-edge jitters) — what
+  // RandomContentionJammer::count_quiet_range costs under jitter.
   const CounterRng rng(1, 0xb1);
   const auto span = static_cast<std::uint64_t>(state.range(0));
   Slot lo = 0;
@@ -197,7 +171,6 @@ void BM_RandbandReplay(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(span));
-  state.SetLabel(std::string("simd=") + simd::active_tier_name());
 }
 BENCHMARK(BM_RandbandReplay)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 

@@ -70,7 +70,7 @@ def collect_files(path):
 
 
 def extract_series(doc):
-    """Returns (speeds, elapsed, metrics, derived, simd).
+    """Returns (speeds, elapsed, metrics, derived).
 
     speeds:  {series_name: slots_per_sec_or_time_based_rate}
     elapsed: {series_name: measured wall seconds behind that rate}
@@ -82,15 +82,10 @@ def extract_series(doc):
              speedups). Like speeds they move with the hardware, so
              drift is reported, never gated, and with its own looser
              threshold (--derived-drift).
-    simd:    the dispatched coin-kernel tier recorded in options.simd
-             (lowsense-bench/v1 only; None when absent). Tiers are
-             bit-identical, so a mismatch can only explain PERF drift —
-             it is reported as a note and never gates.
     """
     speeds, elapsed, metrics, derived = {}, {}, {}, {}
     if isinstance(doc, dict) and doc.get("schema") == "lowsense-bench/v1":
         bench = doc.get("bench", "?")
-        simd = doc.get("options", {}).get("simd")
         if doc.get("slots_per_sec"):
             speeds[f"{bench}/TOTAL"] = doc["slots_per_sec"]
             elapsed[f"{bench}/TOTAL"] = doc.get("elapsed_sec", 0.0)
@@ -107,7 +102,7 @@ def extract_series(doc):
             for k, v in sc.get("derived", {}).items():
                 if isinstance(v, (int, float)):
                     derived[f"{name}:{k}"] = v
-        return speeds, elapsed, metrics, derived, simd
+        return speeds, elapsed, metrics, derived
     if isinstance(doc, dict) and "benchmarks" in doc:
         # google-benchmark. Prefer the median aggregate when repetitions
         # were requested; otherwise use the raw iteration entries.
@@ -124,7 +119,7 @@ def extract_series(doc):
                 # holds for every speeds entry.
                 speeds[f"{name}:1/real_time"] = 1.0 / b["real_time"]
                 elapsed[f"{name}:1/real_time"] = None
-        return speeds, elapsed, metrics, derived, None
+        return speeds, elapsed, metrics, derived
     sys.stderr.write("error: unrecognized BENCH json format\n")
     raise SystemExit(2)
 
@@ -157,10 +152,8 @@ def combine_snapshots(views):
     marker, is sticky). Metrics and derived values come from the newest
     snapshot carrying them: they are bit-identical run to run, so there
     is nothing to average and newest matches what the code produces now.
-    The simd tier likewise comes from the newest snapshot that recorded
-    one.
     """
-    speeds, elapsed, metrics, derived, simd = {}, {}, {}, {}, None
+    speeds, elapsed, metrics, derived = {}, {}, {}, {}
     names = set()
     for v in views:
         names.update(v[0])
@@ -172,9 +165,7 @@ def combine_snapshots(views):
     for v in views:  # newest last: later update() wins
         metrics.update(v[2])
         derived.update(v[3])
-        if v[4] is not None:
-            simd = v[4]
-    return speeds, elapsed, metrics, derived, simd
+    return speeds, elapsed, metrics, derived
 
 
 def fmt_rate(v):
@@ -233,16 +224,9 @@ def main():
 
     regressions, warnings, improvements, drifted, rows = [], [], [], [], []
     ratio_drift = []
-    simd_mismatch = []
     for fname in common:
-        old_speeds, old_elapsed, old_metrics, old_derived, old_simd = old_views[fname]
-        new_speeds, new_elapsed, new_metrics, new_derived, new_simd = new_views[fname]
-
-        # Tiers are bit-identical in results, so this can only explain a
-        # PERF delta (e.g. a baseline recorded on an AVX2 runner compared
-        # against a scalar-only one). Warn only — never gates.
-        if old_simd is not None and new_simd is not None and old_simd != new_simd:
-            simd_mismatch.append((fname, old_simd, new_simd))
+        old_speeds, old_elapsed, old_metrics, old_derived = old_views[fname]
+        new_speeds, new_elapsed, new_metrics, new_derived = new_views[fname]
 
         for name in sorted(set(old_speeds) & set(new_speeds)):
             old_v, new_v = old_speeds[name], new_speeds[name]
@@ -295,12 +279,6 @@ def main():
             print(f"  {name}: {old_v:.3g} -> {new_v:.3g}")
         if len(ratio_drift) > 20:
             print(f"  ... and {len(ratio_drift) - 20} more")
-    if simd_mismatch:
-        print(f"\nSIMD tier mismatch ({len(simd_mismatch)} file(s)) — the two snapshots "
-              f"dispatched different coin-kernel tiers, which can explain slots/s "
-              f"deltas (results are tier-identical; warn only):")
-        for fname, old_simd, new_simd in simd_mismatch:
-            print(f"  {fname}: options.simd {old_simd} -> {new_simd}")
     for fname in only_old:
         print(f"note: {fname} only in OLD set (bench removed?)")
     for fname in only_new:
@@ -333,10 +311,6 @@ def main():
             if ratio_drift:
                 f.write(f"\n{len(ratio_drift)} derived ratio(s) drifted beyond "
                         f"{args.derived_drift:.0%} (speed ratios / shard speedups).\n")
-            if simd_mismatch:
-                f.write(f"\n{len(simd_mismatch)} file(s) compared across different SIMD "
-                        f"coin-kernel tiers (options.simd) — perf deltas may be "
-                        f"ISA-attributable.\n")
 
     return 0 if verdict_ok else 1
 

@@ -30,13 +30,10 @@ observable paths:
                              induce is nondeterministic.
   raw-simd                   intrinsic headers (<immintrin.h>,
                              <arm_neon.h>, ...) or _mm*/NEON intrinsic
-                             calls outside src/core/rng_simd.*: ad-hoc
-                             vector code is where FP contraction and
-                             lane-order bugs silently fork results across
-                             hosts. All SIMD lives behind the CoinKernels
-                             dispatch table, whose tiers are proven
-                             bit-identical to scalar by the rng_simd test
-                             suite and the CI simd-identity lane.
+                             calls anywhere in src/: vector code is where
+                             FP contraction and lane-order bugs silently
+                             fork results across hosts. The coin loops
+                             are scalar; no file is exempt.
   stream-rng-in-send-phase   stream-based Rng draws inside SimCore's
                              phase-1 send-draw section: phase 1 runs in
                              parallel per shard, where only slot-keyed
@@ -128,17 +125,9 @@ RULES = [
         r'[<"][A-Za-z0-9_]*intrin\.h[>"]|[<"]arm_(?:neon|sve|acle)\.h[>"]'
         r"|\b_mm(?:256|512)?_[a-z0-9_]+\s*\("
         r"|\bv[a-z][a-z0-9_]*_[spuf](?:8|16|32|64)\s*\(",
-        "raw SIMD intrinsics outside src/core/rng_simd.* bypass the "
-        "CoinKernels dispatch table and its bit-identity proofs (tier "
-        "goldens, randomized identity, CI simd-identity lane); add a "
-        "kernel there instead",
-        exempt_paths=(
-            "src/core/rng_simd.hpp",
-            "src/core/rng_simd.cpp",
-            "src/core/rng_simd_avx2.cpp",
-            "src/core/rng_simd_avx512.cpp",
-            "src/core/rng_simd_neon.cpp",
-        ),
+        "raw SIMD intrinsics are where FP contraction and lane-order bugs "
+        "fork results across hosts; the coin loops in src/core/rng.cpp are "
+        "scalar on purpose (vector tiers measured no end-to-end gain)",
     ),
 ]
 

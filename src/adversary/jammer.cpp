@@ -32,7 +32,7 @@ std::uint64_t ScheduleJammer::count_quiet_range(Slot lo, Slot hi, const SystemVi
 
 RandomJammer::RandomJammer(double rate, std::uint64_t budget, CounterRng rng)
     : rate_(rate), budget_(budget), rng_(rng) {
-  if (rate < 0.0 || rate > 1.0) throw std::invalid_argument("RandomJammer: rate in [0,1]");
+  if (!(rate >= 0.0 && rate <= 1.0)) throw std::invalid_argument("RandomJammer: rate in [0,1]");
 }
 
 std::uint64_t RandomJammer::remaining_budget() const noexcept {
@@ -93,7 +93,7 @@ std::uint64_t BurstJammer::count_quiet_range(Slot lo, Slot hi, const SystemView&
 
 ContentionBandJammer::ContentionBandJammer(double lo, double hi, std::uint64_t budget)
     : lo_(lo), hi_(hi), budget_(budget) {
-  if (!(lo >= 0.0) || hi < lo) throw std::invalid_argument("ContentionBandJammer: bad band");
+  if (!(lo >= 0.0 && hi >= lo)) throw std::invalid_argument("ContentionBandJammer: bad band");
 }
 
 bool ContentionBandJammer::jam(Slot, const SystemView& view, std::span<const PacketId>) {
@@ -118,8 +118,8 @@ std::uint64_t ContentionBandJammer::count_quiet_range(Slot lo, Slot hi, const Sy
 RandomContentionJammer::RandomContentionJammer(double lo, double hi, double rate,
                                                std::uint64_t budget, CounterRng rng, double jitter)
     : lo_(lo), hi_(hi), rate_(rate), jitter_(jitter), budget_(budget), rng_(rng) {
-  if (!(lo >= 0.0) || hi < lo) throw std::invalid_argument("RandomContentionJammer: bad band");
-  if (rate < 0.0 || rate > 1.0)
+  if (!(lo >= 0.0 && hi >= lo)) throw std::invalid_argument("RandomContentionJammer: bad band");
+  if (!(rate >= 0.0 && rate <= 1.0))
     throw std::invalid_argument("RandomContentionJammer: rate in [0,1]");
   if (!(jitter >= 0.0)) throw std::invalid_argument("RandomContentionJammer: jitter >= 0");
 }
@@ -129,9 +129,9 @@ bool RandomContentionJammer::hit(Slot slot, const SystemView& view) const noexce
   // Lanes 1/2 jitter each band edge outward by an independent uniform
   // amount in [0, jitter); lane 0 is the jam coin itself. All three are
   // keyed on the slot, so the decision replays identically in any order.
-  // The jittered decision is a length-1 call into the SIMD band-replay
-  // kernel — the same compiled FP math (-ffp-contract=off) the batched
-  // span path uses, so per-slot and span evaluation can never diverge.
+  // The jittered decision is a length-1 call into the band-replay loop —
+  // the same compiled FP math (-ffp-contract=off) the batched span path
+  // uses, so per-slot and span evaluation can never diverge.
   // Without jitter the edge draws are multiplied by zero — skip the two
   // hashes (this runs once per active slot on the slot engine).
   if (jitter_ != 0.0) {
@@ -167,9 +167,9 @@ std::uint64_t RandomContentionJammer::count_quiet_range(Slot lo, Slot hi,
     // draws in hit() are multiplied by zero, so skipping them is exact.
     n = rng_.count_bernoulli_span(lo, hi, rate_, remaining);
   } else {
-    // Full three-lane replay (jam coin + two edge jitters per slot),
-    // batched as interleaved SIMD lanes. Capping at the remaining budget
-    // mid-span is part of the trace, exactly as in the jitter-free path.
+    // Full three-lane replay (jam coin + two edge jitters per slot).
+    // Capping at the remaining budget mid-span is part of the trace,
+    // exactly as in the jitter-free path.
     n = rng_.count_jittered_band_span(lo, hi, view.contention, lo_, hi_, jitter_, rate_,
                                       remaining);
   }

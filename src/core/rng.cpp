@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "core/rng_simd.hpp"
-
 namespace lowsense {
 
 std::uint64_t Rng::next_below(std::uint64_t n) noexcept {
@@ -67,6 +65,11 @@ std::uint64_t CounterRng::bernoulli_threshold(double p) noexcept {
   return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
+// The three batched coin loops below are the golden-pinned reference
+// (tests/core_rng_test.cpp). This TU builds with -ffp-contract=off (see
+// CMakeLists.txt) so the jittered-band double math is never fused into
+// FMAs on targets where contraction is the compiler default.
+
 std::uint64_t CounterRng::count_bernoulli_span(std::uint64_t lo, std::uint64_t hi, double p,
                                                std::uint64_t cap,
                                                std::uint64_t lane) const noexcept {
@@ -75,15 +78,32 @@ std::uint64_t CounterRng::count_bernoulli_span(std::uint64_t lo, std::uint64_t h
   if (thr == 0) return 0;
   const std::uint64_t len = hi - lo + 1;
   if (thr == (1ULL << 53)) return len < cap ? len : cap;
-  // The coin loop runs on the dispatched SIMD kernel (bit-identical to
-  // scalar on every tier — see core/rng_simd.hpp).
-  return simd::kernels().count_span(key_, lo, hi, thr, lane, cap);
+  std::uint64_t n = 0;
+  std::uint64_t c = lo;
+  // 64-coin blocks: build a success mask, popcount it. Counting is
+  // monotone, so min(total, cap) equals the loop-until-cap replay and
+  // the cap check only needs to run per block. The full-range span
+  // (lo = 0, hi = 2^64 - 1) wraps the block length to 0 and returns 0.
+  while (c <= hi && n < cap) {
+    const std::uint64_t block = std::min<std::uint64_t>(64, hi - c + 1);
+    std::uint64_t mask = 0;
+    for (std::uint64_t i = 0; i < block; ++i) {
+      mask |= static_cast<std::uint64_t>((draw_with_key(key_, c + i, lane) >> 11) < thr) << i;
+    }
+    n += static_cast<std::uint64_t>(__builtin_popcountll(mask));
+    if (c + block - 1 == hi) break;  // avoid overflow when hi is huge
+    c += block;
+  }
+  return n < cap ? n : cap;
 }
 
 void CounterRng::bernoulli_batch(const std::uint64_t* keys, const double* ps, std::size_t n,
                                  std::uint64_t counter, std::uint8_t* out,
                                  std::uint64_t lane) noexcept {
-  simd::kernels().batch(keys, ps, n, counter, lane, out);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>((draw_with_key(keys[i], counter, lane) >> 11) <
+                                       bernoulli_threshold(ps[i]));
+  }
 }
 
 std::uint64_t CounterRng::count_jittered_band_span(std::uint64_t lo, std::uint64_t hi,
@@ -93,8 +113,21 @@ std::uint64_t CounterRng::count_jittered_band_span(std::uint64_t lo, std::uint64
   if (hi < lo || cap == 0) return 0;
   const std::uint64_t thr = bernoulli_threshold(rate);
   if (thr == 0) return 0;  // the lane-0 coin never hits, band or no band
-  return simd::kernels().jittered_band_span(key_, lo, hi, contention, band_lo, band_hi, jitter,
-                                            thr, cap);
+  // Per slot: lanes 1/2 jitter each band edge outward by an independent
+  // uniform amount in [0, jitter); lane 0 is the jam coin, as an integer
+  // threshold compare (exact — see bernoulli_threshold). Unlike the span
+  // count above, this loop never forms a length, so the full-range span
+  // walks slots until the cap stops it.
+  std::uint64_t n = 0;
+  for (std::uint64_t t = lo; t <= hi && n < cap; ++t) {
+    const double u_lo = static_cast<double>(draw_with_key(key_, t, 1) >> 11) * 0x1.0p-53;
+    const double u_hi = static_cast<double>(draw_with_key(key_, t, 2) >> 11) * 0x1.0p-53;
+    const double lo_t = band_lo - jitter * u_lo;
+    const double hi_t = band_hi + jitter * u_hi;
+    if (contention < lo_t || contention > hi_t) continue;
+    n += static_cast<std::uint64_t>((draw_with_key(key_, t, 0) >> 11) < thr);
+  }
+  return n < cap ? n : cap;
 }
 
 }  // namespace lowsense

@@ -172,11 +172,7 @@ class CounterRng {
   // produce bit-for-bit the same decisions as the equivalent loop of
   // `bernoulli` calls, but branch-free (integer threshold compare — see
   // bernoulli_threshold). They are the hot path of the sharded engine's
-  // send-draw phase and of the randomized jammers' quiet-span replay,
-  // and they execute on the runtime-dispatched SIMD coin kernels
-  // (core/rng_simd.hpp): 4/8/2 hashes per instruction on
-  // AVX2/AVX-512/NEON, with a scalar fallback. Every tier is
-  // bit-identical to scalar, so dispatch is invisible to results.
+  // send-draw phase and of the randomized jammers' quiet-span replay.
 
   /// The integer threshold T with `draw_double(c,l) < p  <=>  draw(c,l)
   /// >> 11 < T`. Exact: x * 2^-53 and p * 2^53 are both power-of-two
@@ -215,10 +211,8 @@ class CounterRng {
   ///     if (!(contention < lo_t || contention > hi_t))
   ///       n += bernoulli(t, rate, 0);
   ///   }
-  /// but with all three hashes per slot evaluated as interleaved SIMD
-  /// lanes. The FP band math is individually rounded (the kernels build
-  /// with -ffp-contract=off), so results are bit-identical on every
-  /// tier and target.
+  /// The FP band math is individually rounded (rng.cpp builds with
+  /// -ffp-contract=off), so results are bit-identical on every target.
   std::uint64_t count_jittered_band_span(std::uint64_t lo, std::uint64_t hi, double contention,
                                          double band_lo, double band_hi, double jitter,
                                          double rate, std::uint64_t cap = ~0ULL) const noexcept;

@@ -26,6 +26,17 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
+/// std::stoull reads "-1" as 2^64 - 1, so an unsigned spec field with a
+/// sign (after optional leading whitespace, which stoull skips) throws
+/// instead of wrapping.
+std::uint64_t parse_u64(const std::string& s) {
+  const auto first = s.find_first_not_of(" \t\n\v\f\r");
+  if (first != std::string::npos && (s[first] == '-' || s[first] == '+')) {
+    throw std::invalid_argument("signed value '" + s + "' in an unsigned spec field");
+  }
+  return std::stoull(s);
+}
+
 }  // namespace
 
 std::function<std::unique_ptr<Jammer>(std::uint64_t)> parse_jammer_spec(const std::string& spec,
@@ -42,27 +53,27 @@ std::function<std::unique_ptr<Jammer>(std::uint64_t)> parse_jammer_spec(const st
   try {
     if (kind == "random" && !args.empty() && args.size() <= 2) {
       const double rate = std::stod(args[0]);
-      const std::uint64_t budget = args.size() > 1 ? std::stoull(args[1]) : 0;
+      const std::uint64_t budget = args.size() > 1 ? parse_u64(args[1]) : 0;
       factory = [rate, budget, jam_seed](std::uint64_t seed) {
         return std::make_unique<RandomJammer>(rate, budget, jammer_rng(jam_seed, seed, 0xb1));
       };
     } else if (kind == "burst" && args.size() == 2) {
-      const Slot period = std::stoull(args[0]);
-      const Slot len = std::stoull(args[1]);
+      const Slot period = parse_u64(args[0]);
+      const Slot len = parse_u64(args[1]);
       factory = [period, len](std::uint64_t) { return std::make_unique<BurstJammer>(period, len); };
     } else if (kind == "victim" && args.size() == 2) {
-      const PacketId id = std::stoull(args[0]);
-      const std::uint64_t budget = std::stoull(args[1]);
+      const PacketId id = parse_u64(args[0]);
+      const std::uint64_t budget = parse_u64(args[1]);
       factory = [id, budget](std::uint64_t) {
         return std::make_unique<ReactiveVictimJammer>(id, budget);
       };
     } else if (kind == "blanket" && args.size() == 1) {
-      const std::uint64_t budget = std::stoull(args[0]);
+      const std::uint64_t budget = parse_u64(args[0]);
       factory = [budget](std::uint64_t) { return std::make_unique<ReactiveBlanketJammer>(budget); };
     } else if (kind == "band" && args.size() == 3) {
       const double lo = std::stod(args[0]);
       const double hi = std::stod(args[1]);
-      const std::uint64_t budget = std::stoull(args[2]);
+      const std::uint64_t budget = parse_u64(args[2]);
       factory = [lo, hi, budget](std::uint64_t) {
         return std::make_unique<ContentionBandJammer>(lo, hi, budget);
       };
@@ -70,7 +81,7 @@ std::function<std::unique_ptr<Jammer>(std::uint64_t)> parse_jammer_spec(const st
       const double lo = std::stod(args[0]);
       const double hi = std::stod(args[1]);
       const double rate = std::stod(args[2]);
-      const std::uint64_t budget = args.size() > 3 ? std::stoull(args[3]) : 0;
+      const std::uint64_t budget = args.size() > 3 ? parse_u64(args[3]) : 0;
       const double jitter = args.size() > 4 ? std::stod(args[4]) : 0.0;
       factory = [lo, hi, rate, budget, jitter, jam_seed](std::uint64_t seed) {
         return std::make_unique<RandomContentionJammer>(lo, hi, rate, budget,
@@ -94,35 +105,37 @@ std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t)> parse_arrivals_spe
   const std::vector<std::string> args =
       colon == std::string::npos ? std::vector<std::string>{} : split(spec.substr(colon + 1), ',');
 
+  std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t)> factory;
   try {
     if (kind == "batch" && args.size() == 1) {
-      const std::uint64_t n = std::stoull(args[0]);
-      return [n](std::uint64_t) { return std::make_unique<BatchArrivals>(n); };
-    }
-    if (kind == "poisson" && args.size() == 2) {
+      const std::uint64_t n = parse_u64(args[0]);
+      factory = [n](std::uint64_t) { return std::make_unique<BatchArrivals>(n); };
+    } else if (kind == "poisson" && args.size() == 2) {
       const double rate = std::stod(args[0]);
-      const std::uint64_t n = std::stoull(args[1]);
-      return [rate, n](std::uint64_t seed) {
+      const std::uint64_t n = parse_u64(args[1]);
+      factory = [rate, n](std::uint64_t seed) {
         return std::make_unique<PoissonArrivals>(rate, n, Rng::stream(seed, 0xa1));
       };
-    }
-    if (kind == "aqt" && args.size() == 4) {
+    } else if (kind == "aqt" && args.size() == 4) {
       const double lambda = std::stod(args[0]);
-      const Slot s = std::stoull(args[1]);
+      const Slot s = parse_u64(args[1]);
       AqtPattern pattern = AqtPattern::kFront;
       if (args[2] == "spread") pattern = AqtPattern::kSpread;
       else if (args[2] == "random") pattern = AqtPattern::kRandom;
       else if (args[2] == "pulse") pattern = AqtPattern::kPulse;
       else if (args[2] != "front") return nullptr;
-      const std::uint64_t n = std::stoull(args[3]);
-      return [=](std::uint64_t seed) {
+      const std::uint64_t n = parse_u64(args[3]);
+      factory = [=](std::uint64_t seed) {
         return std::make_unique<AqtArrivals>(lambda, s, pattern, n, Rng::stream(seed, 0xa2));
       };
     }
+    // Validate eagerly, as parse_jammer_spec does: the constructors throw
+    // on bad values (rate NaN or <= 0, lambda outside (0,1], ...).
+    if (factory) factory(1);
   } catch (const std::exception&) {
-    return nullptr;  // unparsable number in the spec
+    return nullptr;  // unparsable number or rejected parameter value
   }
-  return nullptr;
+  return factory;
 }
 
 RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,

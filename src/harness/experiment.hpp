@@ -60,7 +60,9 @@ std::function<std::unique_ptr<Jammer>(std::uint64_t seed)> parse_jammer_spec(
 ///   batch:N | poisson:rate,N | aqt:lambda,S,pattern,N
 ///   (pattern: spread|front|random|pulse)
 ///
-/// Returns nullptr on a malformed spec.
+/// Returns nullptr on a malformed spec, including a sign on an unsigned
+/// field and parameter values the arrival constructors reject (validated
+/// eagerly, so the factory itself never throws).
 std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t seed)> parse_arrivals_spec(
     const std::string& spec);
 

@@ -83,8 +83,6 @@ void SimCore::inject_arrivals_at(Slot t) {
       ++counters_.arrivals;
       ++counters_.backlog;
       max_window_ = std::max(max_window_, pkt.proto->window());
-      pkt.active_pos = static_cast<std::uint32_t>(active_.size());
-      active_.push_back(ActiveRef{id, slab});
       for (auto* obs : observers_) obs->on_arrival(t, id, *pkt.proto);
     }
     peak_backlog_ = std::max(peak_backlog_, counters_.backlog);
@@ -125,13 +123,6 @@ void SimCore::depart(Slot t, std::size_t shard_idx, std::uint32_t slab) {
   counters_.contention -= store.send_prob(slab);
   --counters_.backlog;
   ++counters_.successes;
-  // Swap-remove from the active list in O(1) via the stored position.
-  const std::uint32_t pos = pkt.active_pos;
-  assert(pos < active_.size() && active_[pos].id == pkt.id && active_[pos].slab == slab);
-  active_[pos] = active_.back();
-  const ActiveRef& moved = active_[pos];
-  shards_[moved.id % shards_.size()].store().at(moved.slab).active_pos = pos;
-  active_.pop_back();
   latency_stats_.add(static_cast<double>(t - pkt.arrival + 1));
   // Fold the departed packet's per-packet stats NOW — its record may be
   // reclaimed at the end of this slot. At most one packet departs per
@@ -285,14 +276,6 @@ void SimCore::resolve_slot(Slot t) {
   resolve_phases(t);
 }
 
-void SimCore::resolve_slot(Slot t, std::span<const ActiveRef> accessors) {
-  for (PacketShard& shard : shards_) shard.accessors.clear();
-  for (const ActiveRef& ref : accessors) {
-    shards_[ref.id % shards_.size()].accessors.push_back(ref.slab);
-  }
-  resolve_phases(t);
-}
-
 void SimCore::resolve_phases(Slot t) {
   std::size_t total = 0;
   for (const PacketShard& shard : shards_) total += shard.accessors.size();
@@ -387,9 +370,23 @@ void SimCore::account_quiet_span(Slot lo, Slot hi) {
   for (auto* obs : observers_) obs->on_quiet_span(lo, hi, jams, counters_);
 }
 
+std::vector<const Packet*> SimCore::live_packets() const {
+  std::vector<const Packet*> live;
+  live.reserve(counters_.backlog);
+  for (const PacketShard& s : shards_) {
+    const PacketStore& store = s.store();
+    for (std::uint32_t slab = 0; slab < store.capacity(); ++slab) {
+      if (store.at(slab).active) live.push_back(&store.at(slab));
+    }
+  }
+  std::sort(live.begin(), live.end(),
+            [](const Packet* a, const Packet* b) { return a->id < b->id; });
+  return live;
+}
+
 double SimCore::recompute_contention() const {
   double c = 0.0;
-  for (const ActiveRef& ref : active_) c += packet_at(ref).proto->send_prob();
+  for (const Packet* pkt : live_packets()) c += pkt->proto->send_prob();
   return c;
 }
 
@@ -398,15 +395,11 @@ void SimCore::finish(RunResult* result) {
   // survivors are swept here in ascending LOGICAL id — the accumulation
   // order, and therefore every derived statistic bit for bit, is
   // independent of the shard count, the engine, and slab placement.
-  std::vector<ActiveRef> live(active_);
-  std::sort(live.begin(), live.end(),
-            [](const ActiveRef& a, const ActiveRef& b) { return a.id < b.id; });
-  for (const ActiveRef& ref : live) {
-    const Packet& pkt = packet_at(ref);
-    access_stats_.add(static_cast<double>(pkt.accesses));
-    send_stats_.add(static_cast<double>(pkt.sends));
-    access_hist_.add(static_cast<double>(pkt.accesses));
-    max_accesses_ = std::max(max_accesses_, pkt.accesses);
+  for (const Packet* pkt : live_packets()) {
+    access_stats_.add(static_cast<double>(pkt->accesses));
+    send_stats_.add(static_cast<double>(pkt->sends));
+    access_hist_.add(static_cast<double>(pkt->accesses));
+    max_accesses_ = std::max(max_accesses_, pkt->accesses);
   }
   result->counters = counters_;
   result->drained = arrivals_exhausted() && counters_.backlog == 0;

@@ -51,17 +51,8 @@ struct Packet {
   std::uint64_t accesses = 0;
   std::uint64_t sends = 0;
   std::uint32_t generation = 0;  ///< slab reuse count (0 = first tenant)
-  std::uint32_t active_pos = 0;  ///< index into SimCore's active-ref list
   bool active = false;
   bool sent = false;  ///< scratch: did it transmit in the slot being resolved?
-};
-
-/// A (logical id, slab) handle to a LIVE packet. The shard is implied by
-/// the id (id % shard-count), so the pair pins down the record without
-/// any id -> slab lookup structure.
-struct ActiveRef {
-  PacketId id = 0;
-  std::uint32_t slab = 0;
 };
 
 class PacketStore {

@@ -43,10 +43,8 @@
 // and reclaim on is bit-identical to reclaim off.
 #pragma once
 
-#include <cassert>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "adversary/arrivals.hpp"
@@ -81,11 +79,6 @@ class SimCore {
   /// active_slots. Engines call this with non-decreasing t.
   void resolve_slot(Slot t);
 
-  /// Legacy form taking an explicit accessor list (the micro-benchmark's
-  /// O(n_active) scan); partitions the refs into the shards' buckets and
-  /// resolves identically. The caller must have drained the wheels for t.
-  void resolve_slot(Slot t, std::span<const ActiveRef> accessors);
-
   /// Accounts a maximal access-free active span [lo, hi] (event engine).
   void account_quiet_span(Slot lo, Slot hi);
 
@@ -93,18 +86,7 @@ class SimCore {
   std::uint64_t n_active() const noexcept { return counters_.backlog; }
   const Counters& counters() const noexcept { return counters_; }
   SystemView view() const noexcept;
-  /// Handles of every in-system packet (unordered; swap-removed).
-  const std::vector<ActiveRef>& active() const noexcept { return active_; }
-  const Packet& packet_at(const ActiveRef& ref) const noexcept {
-    return shards_[ref.id % shards_.size()].store().at(ref.slab);
-  }
-  Slot next_access_at(const ActiveRef& ref) const noexcept {
-    return shards_[ref.id % shards_.size()].store().next_access(ref.slab);
-  }
   bool arrivals_exhausted() const noexcept { return arrivals_done_ && !pending_; }
-
-  unsigned shard_count() const noexcept { return static_cast<unsigned>(shards_.size()); }
-  PacketShard& shard(unsigned s) noexcept { return shards_[s]; }
 
   /// Smallest slot with a scheduled access across all shards (kNoSlot
   /// when none). The engines' next-event query.
@@ -113,16 +95,9 @@ class SimCore {
   /// True iff no active packet will ever access the channel again.
   bool no_future_access() const noexcept;
 
-  /// Single-shard wheel accessor, kept for the micro-benchmarks' legacy
-  /// scan; only meaningful when shard_count() == 1 (asserted — with more
-  /// shards it would silently expose one S-th of the schedule).
-  AccessWheel& wheel() noexcept {
-    assert(shards_.size() == 1);
-    return shards_.front().wheel();
-  }
-
-  /// O(n_active) recomputation of contention; tests compare it against the
-  /// incrementally maintained value to bound floating-point drift.
+  /// Recomputes contention from the live records of every shard's store;
+  /// tests compare it against the incrementally maintained value to bound
+  /// floating-point drift.
   double recompute_contention() const;
 
   void finish(RunResult* result);
@@ -146,6 +121,8 @@ class SimCore {
   void run_phase(Phase phase, PacketShard& shard);
   void phase_send_draws(Slot t, PacketShard& shard);
   void phase_feedback(Slot t, Feedback fb, PacketShard& shard);
+  /// The live (in-system) records of every shard, in ascending logical id.
+  std::vector<const Packet*> live_packets() const;
   /// Runs the phase over every shard: on the pool when the slot is heavy
   /// enough, inline (in shard order) otherwise — same code path, same
   /// canonical results either way.
@@ -164,7 +141,6 @@ class SimCore {
   std::vector<PacketShard> shards_;
   std::optional<ParallelExecutor> pool_;  ///< persistent; shards > 1 only
   PacketId next_id_ = 0;                  ///< logical ids handed out so far
-  std::vector<ActiveRef> active_;         ///< in-system packets (unordered)
   std::vector<PacketId> scratch_sender_pids_;
   std::vector<std::uint32_t> scratch_sender_slabs_;  ///< aligned with pids
   std::vector<std::size_t> scratch_pos_;  ///< per-shard merge cursors

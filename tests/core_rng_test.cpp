@@ -434,6 +434,78 @@ TEST(CounterRngBatch, BernoulliBatchMatchesScalarCalls) {
   }
 }
 
+// Pinned outputs of the three batched entry points on CounterRng(9001).
+// These values predate the batched loops and every refactor of them, so
+// a change to the coin hash, the threshold compare, the block/cap logic
+// or the jittered-band FP math fails here by name.
+TEST(CounterRngBatch, GoldenValuesNeverShift) {
+  const CounterRng rng(9001);
+  ASSERT_EQ(rng.key(), 0x88cfe1f72ba5ca9fULL);
+
+  EXPECT_EQ(rng.count_bernoulli_span(0, 999, 0.25, ~0ULL, 0), 253u);
+  EXPECT_EQ(rng.count_bernoulli_span(123, 70000, 0.01, ~0ULL, 3), 687u);
+  EXPECT_EQ(rng.count_bernoulli_span(5, 5000, 0.999, 1234, 1), 1234u);
+  EXPECT_EQ(rng.count_bernoulli_span(1000000, 1131071, 0.5, ~0ULL, 0), 65768u);
+
+  EXPECT_EQ(rng.count_jittered_band_span(0, 9999, 1.25, 1.0, 3.0, 0.75, 0.5), 4951u);
+  EXPECT_EQ(rng.count_jittered_band_span(42, 31000, 0.9, 1.0, 3.0, 0.25, 0.9), 16743u);
+  EXPECT_EQ(rng.count_jittered_band_span(7, 20006, 3.1, 1.0, 3.0, 0.5, 0.3, 500), 500u);
+
+  // bernoulli_batch digest (FNV-1a) over 97 mixed-p coins.
+  std::vector<std::uint64_t> keys(97);
+  std::vector<double> ps(97);
+  std::vector<std::uint8_t> out(97, 0xee);
+  for (int i = 0; i < 97; ++i) {
+    keys[static_cast<std::size_t>(i)] = CounterRng(static_cast<std::uint64_t>(i) * 7919).key();
+    ps[static_cast<std::size_t>(i)] = (i % 10) / 10.0 + 0.05;
+  }
+  CounterRng::bernoulli_batch(keys.data(), ps.data(), 97, 31337, out.data(), 2);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (int i = 0; i < 97; ++i) {
+    h ^= out[static_cast<std::size_t>(i)];
+    h *= 1099511628211ULL;
+  }
+  EXPECT_EQ(h, 0x1b13d90bae801200ULL);
+}
+
+TEST(CounterRngBatch, FullRangeSpanQuirkIsPreserved) {
+  // lo=0, hi=2^64-1 wraps the span length to 0. The two span loops
+  // disagree about what that means — count_bernoulli_span's block loop
+  // computes `hi - c + 1`, sees 0, and returns 0; the jittered loop never
+  // forms a length, so it walks slots until the cap stops it. Both
+  // behaviours are pinned, not "fixed".
+  const CounterRng rng(9001);
+  EXPECT_EQ(rng.count_bernoulli_span(0, ~0ULL, 0.5, 10, 0), 0u);
+  // Cap reached: contention sits inside the band.
+  EXPECT_EQ(rng.count_jittered_band_span(0, ~0ULL, 1.5, 1.0, 2.0, 0.5, 0.5, 10), 10u);
+}
+
+TEST(CounterRngBatch, SpanCallsMatchPerSlotReplay) {
+  // The span entry points (what the jammers' quiet-span replay calls)
+  // must equal the per-slot loops they batch.
+  CounterRng rng(9001, 7);
+  const double rate = 0.37;
+  std::uint64_t naive = 0;
+  for (std::uint64_t t = 2000; t <= 4500; ++t) {
+    naive += static_cast<std::uint64_t>(rng.bernoulli(t, rate, 2));
+  }
+  EXPECT_EQ(rng.count_bernoulli_span(2000, 4500, rate, ~0ULL, 2), naive);
+
+  // Jittered: per-slot calls (cap=1, the jam() path) must sum to the span
+  // call (the count_quiet_range path) — the property that keeps the slot
+  // engine and the event engine trace-equivalent.
+  const double band_lo = 1.0;
+  const double band_hi = 3.0;
+  const double jitter = 0.6;
+  const double contention = 0.8;
+  std::uint64_t per_slot = 0;
+  for (std::uint64_t t = 100; t <= 3100; ++t) {
+    per_slot += rng.count_jittered_band_span(t, t, contention, band_lo, band_hi, jitter, rate, 1);
+  }
+  EXPECT_EQ(rng.count_jittered_band_span(100, 3100, contention, band_lo, band_hi, jitter, rate),
+            per_slot);
+}
+
 TEST(Poisson, VarianceMatchesMean) {
   Rng rng(24);
   const double mean = 8.0;

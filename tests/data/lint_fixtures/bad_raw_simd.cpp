@@ -1,6 +1,6 @@
-// Fixture: raw SIMD intrinsics outside src/core/rng_simd.*. Ad-hoc
-// vector code bypasses the CoinKernels dispatch table, so nothing proves
-// it bit-identical to the scalar reference across hosts and tiers.
+// Fixture: raw SIMD intrinsics in src/. Vector code can fork results
+// across hosts (FP contraction, lane order), and the coin loops are
+// scalar by design, so the rule exempts no file.
 // expect-lint: raw-simd
 #include <immintrin.h>
 

@@ -156,6 +156,17 @@ TEST(ScenarioPackReject, MalformedArrivalsSpec) {
   EXPECT_NE(err.find("malformed arrivals spec"), std::string::npos) << err;
 }
 
+TEST(ScenarioPackReject, NanArrivalRate) {
+  // Well-formed syntax, but a value PoissonArrivals rejects: caught at
+  // parse time, not as an abort when the entry runs.
+  const std::string err = parse_error(
+      "[a]\n"
+      "protocol = lsb\n"
+      "arrivals = poisson:nan,10\n"
+      "budget   = 100\n");
+  EXPECT_NE(err.find("malformed arrivals spec"), std::string::npos) << err;
+}
+
 TEST(ScenarioPackReject, MalformedJammerSpec) {
   const std::string err = parse_error(
       "[a]\n"

@@ -122,6 +122,9 @@ TEST(SuiteOptionsTest, BadValuesAreRejectedEagerly) {
   EXPECT_NE(error.find("jammer"), std::string::npos);
   EXPECT_FALSE(parse_suite_options(mini_def(), make_args({"--arrivals=bogus:1"}), &opts, &error));
   EXPECT_NE(error.find("arrivals"), std::string::npos);
+  EXPECT_FALSE(
+      parse_suite_options(mini_def(), make_args({"--arrivals=poisson:nan,10"}), &opts, &error));
+  EXPECT_NE(error.find("arrivals"), std::string::npos);
   EXPECT_FALSE(parse_suite_options(mini_def(), make_args({"--reps=0"}), &opts, &error));
 }
 
@@ -148,9 +151,8 @@ TEST(SuiteRunnerTest, ListPrintsDeclarationAndSkipsTheBody) {
   EXPECT_NE(out.find("param: n kind=u64 default=64"), std::string::npos);
   EXPECT_NE(out.find("param: rate kind=f64 default=0.25"), std::string::npos);
   EXPECT_NE(out.find("flags:"), std::string::npos);
-  // --list declares the dispatched SIMD coin-kernel tier (whatever this
-  // host/override resolved to — only the line's presence is portable).
-  EXPECT_NE(out.find("simd: "), std::string::npos);
+  // The coin loops are scalar on every host: there is no tier to declare.
+  EXPECT_EQ(out.find("simd: "), std::string::npos);
 }
 
 TEST(SuiteRunnerTest, EndToEndWritesSchemaStableJson) {
@@ -174,12 +176,13 @@ TEST(SuiteRunnerTest, EndToEndWritesSchemaStableJson) {
 
   for (const char* needle :
        {"\"schema\":\"lowsense-bench/v1\"", "\"bench\":\"TX\"", "\"paper_anchor\":\"test anchor\"",
-        "\"options\":{\"reps\":\"2\"", "\"simd\":\"", "\"params\":{\"n\":\"32\"", "\"scenarios\":[",
+        "\"options\":{\"reps\":\"2\"", "\"params\":{\"n\":\"32\"", "\"scenarios\":[",
         "\"name\":\"cell\"", "\"metrics\":{\"throughput\":{\"count\":2,", "\"median\":",
         "\"slots_per_sec\":", "\"checks\":[{\"what\":\"always true\",\"pass\":true",
         "\"passed\":true"}) {
     EXPECT_NE(doc.find(needle), std::string::npos) << "missing " << needle << " in:\n" << doc;
   }
+  EXPECT_EQ(doc.find("\"simd\":"), std::string::npos) << doc;
 }
 
 // --------------------------------------------------------- JSON (golden)
