@@ -33,6 +33,15 @@ void BM_GeometricGap(benchmark::State& state) {
 }
 BENCHMARK(BM_GeometricGap)->Arg(16)->Arg(1 << 20);
 
+// The arrival layer of a steady Poisson stream: one nonempty-slot gap
+// plus one nonzero count per burst (rate 0.005 is the jammed-stream
+// workload's). Unbounded, so the stream never exhausts mid-measurement.
+void BM_PoissonArrivals(benchmark::State& state) {
+  PoissonArrivals arrivals(0.005, 0, Rng(3));
+  for (auto _ : state) benchmark::DoNotOptimize(arrivals.next());
+}
+BENCHMARK(BM_PoissonArrivals);
+
 void BM_LsbObservation(benchmark::State& state) {
   LowSensingBackoff lsb;
   bool noisy = true;

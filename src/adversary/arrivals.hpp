@@ -68,15 +68,25 @@ class ScheduleArrivals final : public ArrivalProcess {
 
 /// Poisson arrivals at `rate` packets/slot (iid per slot), optionally
 /// truncated after `max_packets` (0 = unbounded stream). Generated
-/// lazily via exponential gaps.
+/// lazily via exponential gaps. The rate must be finite and in
+/// (0, kMaxRate]; anything else throws std::invalid_argument.
 class PoissonArrivals final : public ArrivalProcess {
  public:
+  /// Largest accepted rate, 2^52. Per-slot counts at rates >= 32 come
+  /// from a normal approximation (Rng::poisson) that lands within 2^30 of
+  /// the rate, so up to here its double converts to uint64 in range; far
+  /// beyond it the cast is undefined behaviour and the nonzero-count loop
+  /// can spin forever.
+  static constexpr double kMaxRate = 0x1p52;
+
   PoissonArrivals(double rate, std::uint64_t max_packets, Rng rng);
   std::optional<ArrivalBurst> next() override;
   std::string name() const override { return "poisson"; }
 
  private:
   double rate_;
+  double p_nonempty_;        ///< P(Poisson(rate) > 0), the per-slot gap probability
+  double log1m_p_nonempty_;  ///< ln(1 - p_nonempty_), for the cached gap draw
   bool unbounded_;
   std::uint64_t remaining_;
   Rng rng_;

@@ -17,29 +17,29 @@ std::uint64_t Rng::next_below(std::uint64_t n) noexcept {
   return x % n;
 }
 
-std::uint64_t Rng::geometric_gap(double p) noexcept {
+std::uint64_t Rng::geometric_gap(double p, double log1m_p) noexcept {
   if (p >= 1.0) return 1;
   if (p <= 0.0) return std::numeric_limits<std::uint64_t>::max();
   // Inverse transform: gap = ceil(ln U / ln(1-p)) for U in (0,1].
   const double u = next_double_pos();
-  const double g = std::ceil(std::log(u) / std::log1p(-p));
+  const double g = std::ceil(std::log(u) / log1m_p);
   if (g >= 9.0e18) return std::numeric_limits<std::uint64_t>::max();
   return g < 1.0 ? 1 : static_cast<std::uint64_t>(g);
 }
 
+std::uint64_t Rng::poisson_knuth(double l) noexcept {
+  std::uint64_t k = 0;
+  double prod = next_double_pos();
+  while (prod > l) {
+    ++k;
+    prod *= next_double_pos();
+  }
+  return k;
+}
+
 std::uint64_t Rng::poisson(double mean) noexcept {
   if (mean <= 0.0) return 0;
-  if (mean < 32.0) {
-    // Knuth's product method.
-    const double l = std::exp(-mean);
-    std::uint64_t k = 0;
-    double prod = next_double_pos();
-    while (prod > l) {
-      ++k;
-      prod *= next_double_pos();
-    }
-    return k;
-  }
+  if (mean < 32.0) return poisson_knuth(std::exp(-mean));
   // Normal approximation with continuity correction; adequate for the
   // high-rate arrival processes used in long-horizon experiments.
   const double u1 = next_double_pos();
@@ -47,6 +47,22 @@ std::uint64_t Rng::poisson(double mean) noexcept {
   const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
   const double x = mean + std::sqrt(mean) * z + 0.5;
   return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x);
+}
+
+std::uint64_t Rng::poisson_positive(double mean) noexcept {
+  if (!(mean > 0.0)) return 0;
+  std::uint64_t k = 0;
+  if (mean < 32.0) {
+    const double l = std::exp(-mean);  // fixed across the rejection loop
+    do {
+      k = poisson_knuth(l);
+    } while (k == 0);
+  } else {
+    do {
+      k = poisson(mean);
+    } while (k == 0);
+  }
+  return k;
 }
 
 std::uint64_t CounterRng::draw_below(std::uint64_t counter, std::uint64_t n,

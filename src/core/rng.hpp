@@ -91,12 +91,27 @@ class Rng {
   /// This is the single primitive both simulation engines share: a packet
   /// whose per-slot access probability is constant between accesses draws
   /// its next access offset with one call.
-  std::uint64_t geometric_gap(double p) noexcept;
+  std::uint64_t geometric_gap(double p) noexcept { return geometric_gap(p, std::log1p(-p)); }
+
+  /// The same draw with ln(1-p) supplied by a caller that holds p fixed
+  /// across many draws: `geometric_gap(p, std::log1p(-p))` is bit-for-bit
+  /// `geometric_gap(p)`, stream position included, minus one log1p.
+  std::uint64_t geometric_gap(double p, double log1m_p) noexcept;
 
   /// Poisson sample (Knuth for small mean, normal approximation for large).
   std::uint64_t poisson(double mean) noexcept;
 
+  /// Poisson sample conditioned on being nonzero: draw for draw the same
+  /// as `do k = poisson(mean); while (k == 0);` (same value, same stream
+  /// position afterwards), with Knuth's exp(-mean) evaluated once instead
+  /// of once per rejected draw. A mean that is not > 0 has no positive
+  /// outcome to condition on and returns 0 without drawing.
+  std::uint64_t poisson_positive(double mean) noexcept;
+
  private:
+  /// Knuth's product method against the threshold l = exp(-mean).
+  std::uint64_t poisson_knuth(double l) noexcept;
+
   static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }

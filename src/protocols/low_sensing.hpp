@@ -56,16 +56,24 @@ class LowSensingBackoff final : public Protocol {
   double window() const noexcept override { return w_; }
   const char* name() const noexcept override { return "low-sensing"; }
 
+  /// The default memoryless gap, with ln(1 - listen_prob) taken from the
+  /// cache instead of recomputed per draw (bit-identical).
+  std::uint64_t draw_gap(Rng& rng) const override {
+    return rng.geometric_gap(listen_prob_, log1m_listen_);
+  }
+
   const LowSensingParams& params() const noexcept { return params_; }
 
  private:
+  /// Recomputes every cached value from w_; the only writer of them.
   void refresh_probs() noexcept;
-  double ln_boost() const noexcept;  ///< ln^e(w), floored at 1
 
   LowSensingParams params_;
   double w_;
+  double ln_w_ = 0.0;  ///< ln(w_), shared by the boost and the update factor
   double listen_prob_ = 0.0;
   double send_given_listen_ = 0.0;
+  double log1m_listen_ = 0.0;  ///< ln(1 - listen_prob_), for draw_gap
 };
 
 class LowSensingFactory final : public ProtocolFactory {

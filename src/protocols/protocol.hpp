@@ -60,7 +60,8 @@ class Protocol {
   /// (support {1, 2, ...}; kNoSlot = never). The default is the
   /// memoryless geometric implied by access_prob(); protocols with
   /// non-memoryless schedules (e.g. windowed Ethernet backoff, which
-  /// picks a uniform slot within its current window) override this.
+  /// picks a uniform slot within its current window) override this, and
+  /// low-sensing overrides it to draw the same geometric from a cached log.
   /// Both engines call exactly this, once per access period, so
   /// overriding it preserves slot/event trace equivalence.
   virtual std::uint64_t draw_gap(Rng& rng) const { return rng.geometric_gap(access_prob()); }

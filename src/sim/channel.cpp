@@ -208,7 +208,9 @@ void SimCore::phase_send_draws(Slot t, PacketShard& shard) {
   auto& tmp = shard.sort_tmp;
   tmp.resize(k);
   for (std::size_t i = 0; i < k; ++i) tmp[i] = {store.at(acc[i]).id, acc[i]};
-  std::sort(tmp.begin(), tmp.end());
+  // Logical ids are unique, so comparing them alone is a total order.
+  std::sort(tmp.begin(), tmp.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   shard.accessor_ids.resize(k);
   for (std::size_t i = 0; i < k; ++i) {
     shard.accessor_ids[i] = tmp[i].first;

@@ -2,6 +2,7 @@
 // increasing slots), totals, and distribution sanity.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "adversary/arrivals.hpp"
@@ -98,6 +99,23 @@ TEST(PoissonArrivals, RateMatchesLongRunAverage) {
 TEST(PoissonArrivals, RejectsBadRate) {
   EXPECT_THROW(PoissonArrivals(0.0, 10, Rng(3)), std::invalid_argument);
   EXPECT_THROW(PoissonArrivals(-1.0, 10, Rng(3)), std::invalid_argument);
+  EXPECT_THROW(PoissonArrivals(std::nan(""), 10, Rng(3)), std::invalid_argument);
+  EXPECT_THROW(PoissonArrivals(HUGE_VAL, 10, Rng(3)), std::invalid_argument);
+  EXPECT_THROW(PoissonArrivals(1e300, 10, Rng(3)), std::invalid_argument);
+  EXPECT_THROW(PoissonArrivals(std::nextafter(PoissonArrivals::kMaxRate, HUGE_VAL), 10, Rng(3)),
+               std::invalid_argument);
+}
+
+TEST(PoissonArrivals, HighRatesUpToTheMaximumRun) {
+  // Rates past the Knuth range take the normal approximation; every
+  // accepted rate, the largest included, yields a capped first burst.
+  for (double rate : {1e6, PoissonArrivals::kMaxRate}) {
+    PoissonArrivals poisson(rate, 10, Rng(4));
+    const auto bursts = drain(poisson);
+    ASSERT_EQ(bursts.size(), 1u) << "rate=" << rate;
+    EXPECT_EQ(bursts[0].slot, 0u) << "rate=" << rate;
+    EXPECT_EQ(bursts[0].count, 10u) << "rate=" << rate;
+  }
 }
 
 TEST(PoissonArrivals, CanArriveAtSlotZero) {

@@ -169,6 +169,54 @@ TEST(GeometricGap, TinyProbabilityDoesNotOverflow) {
   }
 }
 
+TEST(GeometricGap, CachedLogFormIsTheSameDraw) {
+  // geometric_gap(p, log1p(-p)) must be geometric_gap(p) bit for bit:
+  // same value and the same stream position afterwards, edge cases too.
+  const double ps[] = {0.0, 1.0, -0.5, 1.5, 1e-300, std::nextafter(1.0, 0.0), 1e-6, 0.005, 0.5};
+  for (std::uint64_t seed : {1u, 2u, 77u, 4096u}) {
+    Rng a(seed);
+    Rng b(seed);
+    for (int round = 0; round < 64; ++round) {
+      for (double p : ps) {
+        ASSERT_EQ(a.geometric_gap(p, std::log1p(-p)), b.geometric_gap(p))
+            << "seed=" << seed << " p=" << p;
+      }
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "seed=" << seed;
+  }
+}
+
+TEST(Poisson, PositiveMatchesTheRejectionLoop) {
+  // poisson_positive is the old `do k = poisson(mean); while (k == 0);`
+  // with exp(-mean) hoisted: same samples, same stream position, on both
+  // sides of the Knuth / normal-approximation switch at 32.
+  for (std::uint64_t seed : {3u, 11u, 2024u}) {
+    for (double mean : {1e-4, 0.005, 0.05, 1.0, 31.9, 32.0, 100.0}) {
+      Rng a(seed);
+      Rng b(seed);
+      for (int i = 0; i < 200; ++i) {
+        std::uint64_t ref = 0;
+        do {
+          ref = b.poisson(mean);
+        } while (ref == 0);
+        const std::uint64_t got = a.poisson_positive(mean);
+        ASSERT_EQ(got, ref) << "seed=" << seed << " mean=" << mean << " draw " << i;
+        ASSERT_GE(got, 1u);
+      }
+      EXPECT_EQ(a.next_u64(), b.next_u64()) << "seed=" << seed << " mean=" << mean;
+    }
+  }
+}
+
+TEST(Poisson, PositiveWithoutPositiveMeanDrawsNothing) {
+  for (double mean : {0.0, -1.0, std::nan("")}) {
+    Rng a(5);
+    Rng b(5);
+    EXPECT_EQ(a.poisson_positive(mean), 0u) << "mean=" << mean;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "mean=" << mean;
+  }
+}
+
 TEST(Poisson, MeanAndZeroRate) {
   Rng rng(23);
   EXPECT_EQ(rng.poisson(0.0), 0u);

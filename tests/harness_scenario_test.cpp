@@ -157,14 +157,13 @@ TEST(ScenarioPackReject, MalformedArrivalsSpec) {
 }
 
 TEST(ScenarioPackReject, NanArrivalRate) {
-  // Well-formed syntax, but a value PoissonArrivals rejects: caught at
-  // parse time, not as an abort when the entry runs.
-  const std::string err = parse_error(
-      "[a]\n"
-      "protocol = lsb\n"
-      "arrivals = poisson:nan,10\n"
-      "budget   = 100\n");
-  EXPECT_NE(err.find("malformed arrivals spec"), std::string::npos) << err;
+  // Well-formed syntax, but values PoissonArrivals rejects: caught at
+  // parse time, not as an abort or a hang when the entry runs.
+  for (const char* rate : {"nan", "inf", "1e300"}) {
+    const std::string err = parse_error("[a]\nprotocol = lsb\narrivals = poisson:" +
+                                        std::string(rate) + ",10\nbudget = 100\n");
+    EXPECT_NE(err.find("malformed arrivals spec"), std::string::npos) << rate << ": " << err;
+  }
 }
 
 TEST(ScenarioPackReject, MalformedJammerSpec) {

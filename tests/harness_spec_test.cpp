@@ -17,6 +17,18 @@ TEST(ArrivalsSpec, NegativePoissonRateIsRejected) {
   EXPECT_FALSE(parse_arrivals_spec("poisson:-0.5,10"));
 }
 
+TEST(ArrivalsSpec, InfinitePoissonRateIsRejected) {
+  EXPECT_FALSE(parse_arrivals_spec("poisson:inf,10"));
+  EXPECT_FALSE(parse_arrivals_spec("poisson:infinity,0"));
+}
+
+TEST(ArrivalsSpec, PoissonRateAboveTwoToThe52IsRejected) {
+  EXPECT_FALSE(parse_arrivals_spec("poisson:1e300,10"));
+  EXPECT_FALSE(parse_arrivals_spec("poisson:1e16,10"));
+  EXPECT_TRUE(parse_arrivals_spec("poisson:4503599627370496,10"));  // 2^52 itself
+  EXPECT_TRUE(parse_arrivals_spec("poisson:1e6,10"));
+}
+
 TEST(ArrivalsSpec, AqtLambdaOutOfRangeIsRejected) {
   EXPECT_FALSE(parse_arrivals_spec("aqt:1.5,5,front,10"));
   EXPECT_FALSE(parse_arrivals_spec("aqt:0.1,1,front,10"));  // granularity < 2

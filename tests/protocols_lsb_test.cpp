@@ -2,9 +2,12 @@
 // probability identities, and parameterized sweeps over the constants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/rng.hpp"
+#include "core/types.hpp"
 #include "protocols/low_sensing.hpp"
 
 namespace lowsense {
@@ -182,6 +185,102 @@ TEST(LowSensing, FactoryProducesFreshInstances) {
   auto b = factory.create();
   a->on_observation({Feedback::kNoisy, false});
   EXPECT_GT(a->window(), b->window());
+}
+
+// --- Cache coherence: the cached ln(w) / ln(1 - p) never go stale --------
+
+// Fig. 1 written the slow way: ln(w) recomputed at every use, the
+// probabilities refreshed after every observation, and the gap drawn
+// from ln(1 - p) on the spot. LowSensingBackoff must match it bit for bit.
+struct ReferenceLsb {
+  LowSensingParams p;
+  double w;
+  double listen = 0.0;
+  double send_given = 0.0;
+
+  explicit ReferenceLsb(const LowSensingParams& params) : p(params), w(params.w_min) {
+    refresh();
+  }
+
+  void refresh() {
+    double b = 1.0;
+    for (int i = 0; i < p.listen_exponent; ++i) b *= std::log(w);
+    const double boost = p.c * std::max(b, 1.0);
+    listen = std::min(boost / w, 1.0);
+    send_given = std::min(1.0 / boost, 1.0);
+  }
+
+  void observe(Feedback f) {
+    const double factor = 1.0 + 1.0 / (p.c * std::max(std::log(w), 1.0));
+    if (p.no_collision_detection ? f == Feedback::kSuccess : f == Feedback::kEmpty) {
+      w /= factor;
+      if (p.backon_floor) w = std::max(w, p.w_min);
+      w = std::max(w, 2.0);
+    } else if (p.no_collision_detection || f == Feedback::kNoisy) {
+      w *= factor;
+    }
+    refresh();
+  }
+
+  std::uint64_t gap(Rng& rng) const {
+    if (listen >= 1.0) return 1;
+    const double g = std::ceil(std::log(rng.next_double_pos()) / std::log1p(-listen));
+    if (g >= 9.0e18) return kNoSlot;
+    return g < 1.0 ? 1 : static_cast<std::uint64_t>(g);
+  }
+};
+
+void expect_coherent_with_reference(const LowSensingParams& p, std::uint64_t seed) {
+  ASSERT_TRUE(p.valid());
+  LowSensingBackoff lsb(p);
+  ReferenceLsb ref(p);
+  Rng feedback(seed);
+  Rng gaps_a(seed + 1);
+  Rng gaps_b(seed + 1);
+  for (int i = 0; i < 20000; ++i) {
+    // Alternate noisy-heavy and empty-heavy stretches so the window both
+    // climbs far above w_min and sits on the floor for long runs.
+    const double p_noisy = (i / 1000) % 2 == 0 ? 0.6 : 0.25;
+    const double roll = feedback.next_double();
+    const Feedback f = roll < p_noisy ? Feedback::kNoisy
+                                      : (roll < 0.85 ? Feedback::kEmpty : Feedback::kSuccess);
+    lsb.on_observation({f, roll < 0.1});
+    ref.observe(f);
+    ASSERT_EQ(lsb.window(), ref.w) << "step " << i;
+    ASSERT_EQ(lsb.access_prob(), ref.listen) << "step " << i;
+    ASSERT_EQ(lsb.send_prob_given_access(), ref.send_given) << "step " << i;
+    ASSERT_EQ(lsb.draw_gap(gaps_a), ref.gap(gaps_b)) << "step " << i;
+  }
+  EXPECT_EQ(gaps_a.next_u64(), gaps_b.next_u64());
+}
+
+TEST(LowSensingCache, MatchesReferenceForEveryExponent) {
+  for (int e = 0; e <= 8; ++e) {
+    LowSensingParams p;
+    p.listen_exponent = e;
+    SCOPED_TRACE(e);
+    expect_coherent_with_reference(p, 100 + static_cast<std::uint64_t>(e));
+  }
+}
+
+TEST(LowSensingCache, MatchesReferenceWithoutBackonFloor) {
+  for (int e : {1, 3}) {
+    LowSensingParams p;
+    p.listen_exponent = e;
+    p.backon_floor = false;
+    SCOPED_TRACE(e);
+    expect_coherent_with_reference(p, 200 + static_cast<std::uint64_t>(e));
+  }
+}
+
+TEST(LowSensingCache, MatchesReferenceWithoutCollisionDetection) {
+  for (bool floor : {true, false}) {
+    LowSensingParams p;
+    p.no_collision_detection = true;
+    p.backon_floor = floor;
+    SCOPED_TRACE(floor);
+    expect_coherent_with_reference(p, floor ? 301 : 302);
+  }
 }
 
 // --- Parameterized sweep: the Fig. 1 identities hold across constants ----
