@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -55,12 +56,11 @@ AttackOutcome attack(const std::string& proto, std::uint64_t budget, std::uint64
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Args args(argc, argv);
   const std::uint64_t max_budget = args.u64("budget", 16);
   const std::uint64_t seed = args.u64("seed", 17);
-  const unsigned threads =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("threads", 1)));
+  const unsigned threads = thread_count_flag(args, "threads");
   for (const auto& k : args.unknown_keys()) {
     std::fprintf(stderr, "unknown flag %s\n", k.c_str());
     std::fprintf(stderr, "usage: jamming_attack [--budget=B] [--seed=S] [--threads=T]\n");
@@ -102,4 +102,8 @@ int main(int argc, char** argv) {
               "listening cheaply, backs on after the attack, and finishes in time\n"
               "closer to linear in the budget.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag value (Args) or engine name: a usage error.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

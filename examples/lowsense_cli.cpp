@@ -18,6 +18,7 @@
 // replicates (their coins are slot-keyed, so any run replays exactly).
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -74,34 +75,43 @@ int main(int argc, char** argv) {
   const std::string proto = args.str("protocol", "low-sensing");
   const std::string arrivals_spec = args.str("arrivals", "batch:1000");
   const std::string jammer_spec = args.str("jammer", "none");
-  const int reps = static_cast<int>(args.u64("reps", 3));
-  const std::uint64_t seed = args.u64("seed", 1);
-  const std::uint64_t jam_seed = args.u64("jam-seed", 0);
-  const unsigned threads =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("threads", 1)));
-  const unsigned shards =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("shards", 1)));
   const std::string json_path = args.str("json", "");
   const std::string pack_ref = args.str("pack", "");
   const std::string manifest_path = args.str("manifest", "");
   const bool csv = args.flag("csv");
 
+  // Numeric flags and the engine name: a malformed value (a sign on a
+  // count, trailing bytes, --threads= past the ceiling, ...) is a usage
+  // error, never a wrapped or truncated run.
+  int reps = 0;
+  std::uint64_t seed = 0;
+  std::uint64_t jam_seed = 0;
+  unsigned threads = 1;
+  unsigned shards = 1;
   Scenario s;
+  try {
+    const std::uint64_t r = args.u64("reps", 3);
+    if (r == 0 || r > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      throw std::invalid_argument("--reps= must be in [1, 2^31)");
+    }
+    reps = static_cast<int>(r);
+    seed = args.u64("seed", 1);
+    jam_seed = args.u64("jam-seed", 0);
+    threads = thread_count_flag(args, "threads");
+    shards = thread_count_flag(args, "shards");
+    s.config.max_active_slots = args.u64("max-active-slots", 50000000ULL);
+    s.engine = parse_engine(args.str("engine", "event"));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n\n", e.what());
+    usage();
+    return 2;
+  }
+  const EngineKind engine = s.engine;
   s.name = proto + "/" + arrivals_spec + "/" + jammer_spec;
   s.protocol = [proto] { return make_protocol(proto); };
   s.arrivals = parse_arrivals_spec(arrivals_spec);
   s.jammer = parse_jammer_spec(jammer_spec, jam_seed);
-  s.config.max_active_slots = args.u64("max-active-slots", 50000000ULL);
   s.config.shards = shards;
-  EngineKind engine = EngineKind::kEvent;
-  try {
-    engine = parse_engine(args.str("engine", "event"));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n\n", e.what());
-    usage();
-    return 1;
-  }
-  s.engine = engine;
 
   // Every accepted flag has been queried above; anything left over is a
   // typo, and a silently ignored --thread=8 is worse than an error.

@@ -12,7 +12,7 @@
 
 using namespace lowsense;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Args args(argc, argv);
   const std::uint64_t n = args.u64("n", 1000);
   const std::uint64_t seed = args.u64("seed", 7);
@@ -29,12 +29,7 @@ int main(int argc, char** argv) {
   scenario.name = "quickstart";
   scenario.protocol = [&] { return make_protocol(proto); };
   scenario.arrivals = [&](std::uint64_t) { return std::make_unique<BatchArrivals>(n); };
-  try {
-    scenario.engine = parse_engine(engine);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  scenario.engine = parse_engine(engine);
 
   std::printf("lowsense quickstart: %llu packets arrive at once, protocol = %s\n",
               static_cast<unsigned long long>(n), proto.c_str());
@@ -52,4 +47,8 @@ int main(int argc, char** argv) {
   std::printf("  mean sends/pkt    : %.2f\n", r.send_stats.mean());
   std::printf("  max window seen   : %.0f\n", r.max_window_seen);
   return r.drained ? 0 : 1;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag value (Args) or engine name: a usage error.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

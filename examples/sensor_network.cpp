@@ -13,6 +13,7 @@
 //   ./sensor_network [--sensors=2000] [--rounds=20] [--seed=13] [--threads=T]
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -69,13 +70,12 @@ Outcome measure(const std::string& proto, std::uint64_t sensors, std::uint64_t r
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Args args(argc, argv);
   const std::uint64_t sensors = args.u64("sensors", 2000);
   const std::uint64_t rounds = args.u64("rounds", 10);
   const std::uint64_t seed = args.u64("seed", 13);
-  const unsigned threads =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("threads", 1)));
+  const unsigned threads = thread_count_flag(args, "threads");
   for (const auto& k : args.unknown_keys()) {
     std::fprintf(stderr, "unknown flag %s\n", k.c_str());
     std::fprintf(stderr,
@@ -115,4 +115,8 @@ int main(int argc, char** argv) {
   std::printf("\n(binary-exponential is cheap per packet but its throughput decays with\n"
               "the field size — it trades the network's completion time away; see T1.)\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag value (Args) or engine name: a usage error.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

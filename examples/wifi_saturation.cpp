@@ -65,18 +65,12 @@ void print_run(const std::string& proto, const RunResult& r, const Recorder& rec
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Args args(argc, argv);
   const double lambda = args.f64("lambda", 0.25);
   const Slot granularity = args.u64("granularity", 2048);
   const std::uint64_t seed = args.u64("seed", 11);
-  EngineKind engine = EngineKind::kEvent;
-  try {
-    engine = parse_engine(args.str("engine", "event"));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 2;
-  }
+  const EngineKind engine = parse_engine(args.str("engine", "event"));
   for (const auto& k : args.unknown_keys()) {
     std::fprintf(stderr, "unknown flag %s\n", k.c_str());
     std::fprintf(stderr, "usage: wifi_saturation [--granularity=S] [--lambda=L] [--seed=S] "
@@ -101,4 +95,8 @@ int main(int argc, char** argv) {
               "capped-exponential stations keep their inflated windows and throughput\n"
               "collapses as load grows.\n");
   return 0;
+} catch (const std::invalid_argument& e) {
+  // A malformed flag value (Args) or engine name: a usage error.
+  std::fprintf(stderr, "%s\n", e.what());
+  return 2;
 }

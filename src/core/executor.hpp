@@ -60,6 +60,10 @@ class ParallelExecutor {
   /// burn.
   static bool on_worker_thread() noexcept;
 
+  /// Ceiling on a requested worker or shard count (--threads=, --shards=,
+  /// a pack's `shards`): larger values are input errors, not pools.
+  static constexpr unsigned kMaxThreads = 4096;
+
   /// Maps a --threads=/--shards= flag value to a worker count: 0 means
   /// "use every core", anything else is taken literally.
   static unsigned resolve_threads(unsigned requested) noexcept {

@@ -1,8 +1,9 @@
 #include "harness/experiment.hpp"
 
-#include <cstdlib>
-#include <sstream>
 #include <stdexcept>
+
+#include "core/parse.hpp"
+#include "sim/sim_core.hpp"
 
 namespace lowsense {
 
@@ -18,23 +19,16 @@ const char* engine_name(EngineKind kind) noexcept {
 
 namespace {
 
+/// Keeps empty fields, so a trailing separator ("batch:10,") is an extra
+/// (malformed) field rather than nothing.
 std::vector<std::string> split(const std::string& s, char sep) {
   std::vector<std::string> out;
-  std::istringstream in(s);
-  std::string tok;
-  while (std::getline(in, tok, sep)) out.push_back(tok);
-  return out;
-}
-
-/// std::stoull reads "-1" as 2^64 - 1, so an unsigned spec field with a
-/// sign (after optional leading whitespace, which stoull skips) throws
-/// instead of wrapping.
-std::uint64_t parse_u64(const std::string& s) {
-  const auto first = s.find_first_not_of(" \t\n\v\f\r");
-  if (first != std::string::npos && (s[first] == '-' || s[first] == '+')) {
-    throw std::invalid_argument("signed value '" + s + "' in an unsigned spec field");
+  std::size_t start = 0;
+  for (std::size_t pos; (pos = s.find(sep, start)) != std::string::npos; start = pos + 1) {
+    out.push_back(s.substr(start, pos - start));
   }
-  return std::stoull(s);
+  out.push_back(s.substr(start));
+  return out;
 }
 
 }  // namespace
@@ -52,37 +46,37 @@ std::function<std::unique_ptr<Jammer>(std::uint64_t)> parse_jammer_spec(const st
   std::function<std::unique_ptr<Jammer>(std::uint64_t)> factory;
   try {
     if (kind == "random" && !args.empty() && args.size() <= 2) {
-      const double rate = std::stod(args[0]);
-      const std::uint64_t budget = args.size() > 1 ? parse_u64(args[1]) : 0;
+      const double rate = parse_f64(args[0]).value();
+      const std::uint64_t budget = args.size() > 1 ? parse_u64(args[1]).value() : 0;
       factory = [rate, budget, jam_seed](std::uint64_t seed) {
         return std::make_unique<RandomJammer>(rate, budget, jammer_rng(jam_seed, seed, 0xb1));
       };
     } else if (kind == "burst" && args.size() == 2) {
-      const Slot period = parse_u64(args[0]);
-      const Slot len = parse_u64(args[1]);
+      const Slot period = parse_u64(args[0]).value();
+      const Slot len = parse_u64(args[1]).value();
       factory = [period, len](std::uint64_t) { return std::make_unique<BurstJammer>(period, len); };
     } else if (kind == "victim" && args.size() == 2) {
-      const PacketId id = parse_u64(args[0]);
-      const std::uint64_t budget = parse_u64(args[1]);
+      const PacketId id = parse_u64(args[0]).value();
+      const std::uint64_t budget = parse_u64(args[1]).value();
       factory = [id, budget](std::uint64_t) {
         return std::make_unique<ReactiveVictimJammer>(id, budget);
       };
     } else if (kind == "blanket" && args.size() == 1) {
-      const std::uint64_t budget = parse_u64(args[0]);
+      const std::uint64_t budget = parse_u64(args[0]).value();
       factory = [budget](std::uint64_t) { return std::make_unique<ReactiveBlanketJammer>(budget); };
     } else if (kind == "band" && args.size() == 3) {
-      const double lo = std::stod(args[0]);
-      const double hi = std::stod(args[1]);
-      const std::uint64_t budget = parse_u64(args[2]);
+      const double lo = parse_f64(args[0]).value();
+      const double hi = parse_f64(args[1]).value();
+      const std::uint64_t budget = parse_u64(args[2]).value();
       factory = [lo, hi, budget](std::uint64_t) {
         return std::make_unique<ContentionBandJammer>(lo, hi, budget);
       };
     } else if (kind == "randband" && args.size() >= 3 && args.size() <= 5) {
-      const double lo = std::stod(args[0]);
-      const double hi = std::stod(args[1]);
-      const double rate = std::stod(args[2]);
-      const std::uint64_t budget = args.size() > 3 ? parse_u64(args[3]) : 0;
-      const double jitter = args.size() > 4 ? std::stod(args[4]) : 0.0;
+      const double lo = parse_f64(args[0]).value();
+      const double hi = parse_f64(args[1]).value();
+      const double rate = parse_f64(args[2]).value();
+      const std::uint64_t budget = args.size() > 3 ? parse_u64(args[3]).value() : 0;
+      const double jitter = args.size() > 4 ? parse_f64(args[4]).value() : 0.0;
       factory = [lo, hi, rate, budget, jitter, jam_seed](std::uint64_t seed) {
         return std::make_unique<RandomContentionJammer>(lo, hi, rate, budget,
                                                         jammer_rng(jam_seed, seed, 0xb2), jitter);
@@ -93,7 +87,7 @@ std::function<std::unique_ptr<Jammer>(std::uint64_t)> parse_jammer_spec(const st
     // a nullptr for ANY bad spec rather than a throwing factory.
     if (factory) factory(1);
   } catch (const std::exception&) {
-    return nullptr;  // unparsable number or rejected parameter value
+    return nullptr;  // malformed number (bad_optional_access) or rejected value
   }
   return factory;
 }
@@ -108,23 +102,23 @@ std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t)> parse_arrivals_spe
   std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t)> factory;
   try {
     if (kind == "batch" && args.size() == 1) {
-      const std::uint64_t n = parse_u64(args[0]);
+      const std::uint64_t n = parse_u64(args[0]).value();
       factory = [n](std::uint64_t) { return std::make_unique<BatchArrivals>(n); };
     } else if (kind == "poisson" && args.size() == 2) {
-      const double rate = std::stod(args[0]);
-      const std::uint64_t n = parse_u64(args[1]);
+      const double rate = parse_f64(args[0]).value();
+      const std::uint64_t n = parse_u64(args[1]).value();
       factory = [rate, n](std::uint64_t seed) {
         return std::make_unique<PoissonArrivals>(rate, n, Rng::stream(seed, 0xa1));
       };
     } else if (kind == "aqt" && args.size() == 4) {
-      const double lambda = std::stod(args[0]);
-      const Slot s = parse_u64(args[1]);
+      const double lambda = parse_f64(args[0]).value();
+      const Slot s = parse_u64(args[1]).value();
       AqtPattern pattern = AqtPattern::kFront;
       if (args[2] == "spread") pattern = AqtPattern::kSpread;
       else if (args[2] == "random") pattern = AqtPattern::kRandom;
       else if (args[2] == "pulse") pattern = AqtPattern::kPulse;
       else if (args[2] != "front") return nullptr;
-      const std::uint64_t n = parse_u64(args[3]);
+      const std::uint64_t n = parse_u64(args[3]).value();
       factory = [=](std::uint64_t seed) {
         return std::make_unique<AqtArrivals>(lambda, s, pattern, n, Rng::stream(seed, 0xa2));
       };
@@ -133,7 +127,7 @@ std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t)> parse_arrivals_spe
     // on bad values (rate NaN or <= 0, lambda outside (0,1], ...).
     if (factory) factory(1);
   } catch (const std::exception&) {
-    return nullptr;  // unparsable number or rejected parameter value
+    return nullptr;  // malformed number (bad_optional_access) or rejected value
   }
   return factory;
 }
@@ -151,14 +145,9 @@ RunResult run_scenario(const Scenario& scenario, std::uint64_t seed,
   RunConfig config = scenario.config;
   config.seed = seed;
 
-  if (scenario.engine == EngineKind::kSlot) {
-    SlotEngine engine(*factory, *arrivals, *jammer, config);
-    for (auto* obs : observers) engine.add_observer(obs);
-    return engine.run();
-  }
-  EventEngine engine(*factory, *arrivals, *jammer, config);
-  for (auto* obs : observers) engine.add_observer(obs);
-  return engine.run();
+  detail::SimCore core(*factory, *arrivals, *jammer, config);
+  for (auto* obs : observers) core.add_observer(obs);
+  return core.run(scenario.engine);
 }
 
 Summary Replicates::summarize(const std::function<double(const RunResult&)>& metric) const {
@@ -239,7 +228,10 @@ Args::Args(int argc, char** argv) {
 std::uint64_t Args::u64(const std::string& key, std::uint64_t fallback) const {
   queried_.push_back(key);
   for (const auto& [k, v] : kv_) {
-    if (k == key && !v.empty()) return std::strtoull(v.c_str(), nullptr, 10);
+    if (k == key && !v.empty()) {
+      if (const auto n = parse_u64(v)) return *n;
+      throw std::invalid_argument("--" + key + "=" + v + ": expected an unsigned integer");
+    }
   }
   return fallback;
 }
@@ -247,7 +239,10 @@ std::uint64_t Args::u64(const std::string& key, std::uint64_t fallback) const {
 double Args::f64(const std::string& key, double fallback) const {
   queried_.push_back(key);
   for (const auto& [k, v] : kv_) {
-    if (k == key && !v.empty()) return std::strtod(v.c_str(), nullptr);
+    if (k == key && !v.empty()) {
+      if (const auto x = parse_f64(v)) return *x;
+      throw std::invalid_argument("--" + key + "=" + v + ": expected a finite number");
+    }
   }
   return fallback;
 }

@@ -14,17 +14,10 @@
 #include "adversary/jammer.hpp"
 #include "core/stats.hpp"
 #include "protocols/protocol.hpp"
-#include "sim/event_engine.hpp"
+#include "sim/observer.hpp"
 #include "sim/run.hpp"
-#include "sim/slot_engine.hpp"
 
 namespace lowsense {
-
-/// Which engine executes the scenario.
-enum class EngineKind {
-  kEvent,  ///< geometric gap-skipping (default; exact for our protocols)
-  kSlot,   ///< slot-by-slot reference engine
-};
 
 /// Parses "event" / "slot" (the values benches accept for --engine=).
 /// Throws std::invalid_argument on anything else.
@@ -47,8 +40,9 @@ inline CounterRng jammer_rng(std::uint64_t jam_seed, std::uint64_t seed,
 ///   none | random:rate[,budget] | burst:period,len | victim:id,budget |
 ///   blanket:budget | band:lo,hi,budget | randband:lo,hi,rate[,budget[,jitter]]
 ///
-/// Returns nullptr on a malformed spec, including parameter values the
-/// jammer constructors reject (validated eagerly, so the factory itself
+/// Returns nullptr on a malformed spec — any field parse_u64 / parse_f64
+/// (core/parse.hpp) rejects — or on parameter values the jammer
+/// constructors reject (validated eagerly, so the factory itself
 /// never throws). Randomized jammers (`random`, `randband`) draw
 /// slot-keyed coins from a CounterRng keyed per `jammer_rng`.
 std::function<std::unique_ptr<Jammer>(std::uint64_t seed)> parse_jammer_spec(
@@ -60,9 +54,9 @@ std::function<std::unique_ptr<Jammer>(std::uint64_t seed)> parse_jammer_spec(
 ///   batch:N | poisson:rate,N | aqt:lambda,S,pattern,N
 ///   (pattern: spread|front|random|pulse)
 ///
-/// Returns nullptr on a malformed spec, including a sign on an unsigned
-/// field and parameter values the arrival constructors reject (validated
-/// eagerly, so the factory itself never throws).
+/// Returns nullptr on a malformed spec — any field parse_u64 / parse_f64
+/// rejects — or on parameter values the arrival constructors reject
+/// (validated eagerly, so the factory itself never throws).
 std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t seed)> parse_arrivals_spec(
     const std::string& spec);
 
@@ -126,6 +120,9 @@ class Args {
  public:
   Args(int argc, char** argv);
 
+  /// The flag's value through parse_u64 / parse_f64 (core/parse.hpp), or
+  /// `fallback` when absent or empty. A malformed value throws
+  /// std::invalid_argument naming the flag; entry points exit 2 on it.
   std::uint64_t u64(const std::string& key, std::uint64_t fallback) const;
   double f64(const std::string& key, double fallback) const;
   std::string str(const std::string& key, const std::string& fallback) const;

@@ -1,9 +1,19 @@
 #include "harness/parallel.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace lowsense {
+
+unsigned thread_count_flag(const Args& args, const std::string& key) {
+  const std::uint64_t n = args.u64(key, 1);
+  if (n > ParallelExecutor::kMaxThreads) {
+    const std::string max = std::to_string(ParallelExecutor::kMaxThreads);
+    throw std::invalid_argument("--" + key + "=" + std::to_string(n) + ": must be <= " + max);
+  }
+  return ParallelExecutor::resolve_threads(static_cast<unsigned>(n));
+}
 
 Replicates replicate_parallel(const Scenario& scenario, int reps, ParallelExecutor* pool,
                               std::uint64_t base_seed) {

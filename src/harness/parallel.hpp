@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -15,6 +16,12 @@
 #include "harness/experiment.hpp"
 
 namespace lowsense {
+
+/// Reads a worker-count flag (--threads=, --shards=) and resolves it with
+/// ParallelExecutor::resolve_threads (0 = every core). Throws
+/// std::invalid_argument on a malformed value or one above
+/// ParallelExecutor::kMaxThreads.
+unsigned thread_count_flag(const Args& args, const std::string& key);
 
 /// Parallel counterpart of `replicate`: runs `reps` replicates with seeds
 /// base_seed, base_seed+1, ... on `threads` workers. Replicate i writes

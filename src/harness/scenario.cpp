@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <sstream>
 
+#include "core/parse.hpp"
 #include "harness/json_writer.hpp"
 #include "harness/suite.hpp"
 #include "protocols/registry.hpp"
@@ -22,26 +21,6 @@ std::string trim(const std::string& s) {
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return s.substr(b, e - b);
-}
-
-bool parse_u64_full(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || text[0] == '-') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_f64_full(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
 }
 
 bool is_hex16(const std::string& s) {
@@ -81,10 +60,12 @@ bool parse_expectation(const std::string& rhs, PackExpectation* out, std::string
     *what = "unknown metric '" + out->metric + "'";
     return false;
   }
-  if (!parse_f64_full(val, &out->value)) {
+  const auto value = parse_f64(val);
+  if (!value) {
     *what = "bad number '" + val + "'";
     return false;
   }
+  out->value = *value;
   return true;
 }
 
@@ -219,7 +200,10 @@ bool parse_scenario_pack(std::istream& in, const std::string& origin, ScenarioPa
     }
 
     auto want_u64 = [&](std::uint64_t* dst) {
-      if (parse_u64_full(val, dst)) return true;
+      if (const auto v = parse_u64(val)) {
+        *dst = *v;
+        return true;
+      }
       *error = where(lineno) + ": bad number '" + val + "' for '" + key + "'";
       return false;
     };
@@ -241,8 +225,9 @@ bool parse_scenario_pack(std::istream& in, const std::string& origin, ScenarioPa
     } else if (key == "shards") {
       std::uint64_t v = 0;
       if (!want_u64(&v)) return false;
-      if (v == 0 || v > 4096) {
-        *error = where(lineno) + ": shards must be in [1, 4096]";
+      if (v == 0 || v > ParallelExecutor::kMaxThreads) {
+        const std::string max = std::to_string(ParallelExecutor::kMaxThreads);
+        *error = where(lineno) + ": shards must be in [1, " + max + "]";
         return false;
       }
       current->shards = static_cast<unsigned>(v);

@@ -2,12 +2,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "core/parse.hpp"
 #include "harness/scenario.hpp"
 
 namespace lowsense {
@@ -18,6 +19,16 @@ std::string render_f64(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
+}
+
+// A declared param's value: the flag when given, else its default, which
+// BenchParam rendered as text and which therefore always parses.
+std::uint64_t param_u64(const Args& args, const BenchParam& p) {
+  return args.u64(p.key, parse_u64(p.fallback).value());
+}
+
+double param_f64(const Args& args, const BenchParam& p) {
+  return args.f64(p.key, parse_f64(p.fallback).value());
 }
 
 const char* kind_name(BenchParam::Kind kind) {
@@ -103,23 +114,28 @@ const std::vector<std::string>& suite_flag_keys() {
 
 bool parse_suite_options(const BenchDef& def, const Args& args, SuiteOptions* out,
                          std::string* error) {
-  out->reps = static_cast<int>(args.u64("reps", static_cast<std::uint64_t>(def.default_reps)));
-  if (out->reps <= 0) {
-    *error = "--reps= must be >= 1";
-    return false;
-  }
-  out->seed = args.u64("seed", def.default_seed);
-  out->threads =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("threads", 1)));
-  out->shards =
-      ParallelExecutor::resolve_threads(static_cast<unsigned>(args.u64("shards", 1)));
   try {
+    const std::uint64_t reps = args.u64("reps", static_cast<std::uint64_t>(def.default_reps));
+    if (reps == 0 || reps > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      *error = "--reps= must be in [1, 2^31)";
+      return false;
+    }
+    out->reps = static_cast<int>(reps);
+    out->seed = args.u64("seed", def.default_seed);
+    out->threads = thread_count_flag(args, "threads");
+    out->shards = thread_count_flag(args, "shards");
     out->engine = parse_engine(args.str("engine", "event"));
+    out->jam_seed = args.u64("jam-seed", 0);
+    // The bench's own numeric params, so that a malformed one is a usage
+    // error here rather than a throw out of BenchContext.
+    for (const auto& p : def.params) {
+      if (p.kind == BenchParam::Kind::kU64) param_u64(args, p);
+      if (p.kind == BenchParam::Kind::kF64) param_f64(args, p);
+    }
   } catch (const std::invalid_argument& e) {
     *error = e.what();
     return false;
   }
-  out->jam_seed = args.u64("jam-seed", 0);
   out->jammer_spec = args.str("jammer", "");
   if (!out->jammer_spec.empty() && !parse_jammer_spec(out->jammer_spec, out->jam_seed)) {
     *error = "bad --jammer= spec '" + out->jammer_spec + "'";
@@ -149,10 +165,10 @@ BenchContext::BenchContext(const BenchDef& def, const Args& args, const SuiteOpt
   for (const auto& p : def.params) {
     switch (p.kind) {
       case BenchParam::Kind::kU64:
-        u64_[p.key] = args.u64(p.key, std::strtoull(p.fallback.c_str(), nullptr, 10));
+        u64_[p.key] = param_u64(args, p);
         break;
       case BenchParam::Kind::kF64:
-        f64_[p.key] = args.f64(p.key, std::strtod(p.fallback.c_str(), nullptr));
+        f64_[p.key] = param_f64(args, p);
         break;
       case BenchParam::Kind::kStr:
         str_[p.key] = args.str(p.key, p.fallback);
@@ -277,10 +293,10 @@ BenchMeta make_bench_meta(const BenchDef& def, const Args& args, const SuiteOpti
     std::string v;
     switch (p.kind) {
       case BenchParam::Kind::kU64:
-        v = std::to_string(args.u64(p.key, std::strtoull(p.fallback.c_str(), nullptr, 10)));
+        v = std::to_string(param_u64(args, p));
         break;
       case BenchParam::Kind::kF64:
-        v = render_f64(args.f64(p.key, std::strtod(p.fallback.c_str(), nullptr)));
+        v = render_f64(param_f64(args, p));
         break;
       case BenchParam::Kind::kStr:
         v = args.str(p.key, p.fallback);

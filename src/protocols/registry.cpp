@@ -1,7 +1,6 @@
 #include "protocols/registry.hpp"
 
-#include <cstdlib>
-
+#include "core/parse.hpp"
 #include "protocols/binary_exponential.hpp"
 #include "protocols/fixed_probability.hpp"
 #include "protocols/log_backoff.hpp"
@@ -37,8 +36,8 @@ std::unique_ptr<ProtocolFactory> make_protocol(const std::string& name) {
     return std::make_unique<WindowedEthernetFactory>();
   }
   if (name.rfind("aloha:", 0) == 0) {
-    const double p = std::strtod(name.c_str() + 6, nullptr);
-    if (p > 0.0 && p <= 1.0) return std::make_unique<FixedProbabilityFactory>(p);
+    const auto p = parse_f64(std::string_view(name).substr(6));
+    if (p && *p > 0.0 && *p <= 1.0) return std::make_unique<FixedProbabilityFactory>(*p);
     return nullptr;
   }
   return nullptr;

@@ -270,6 +270,52 @@ void SimCore::phase_feedback(Slot t, Feedback fb, PacketShard& shard) {
   }
 }
 
+bool SimCore::over_budget(Slot t) const noexcept {
+  if (config_.max_slot != 0 && t > config_.max_slot) return true;
+  return config_.max_active_slots != 0 && counters_.active_slots >= config_.max_active_slots;
+}
+
+// The one run loop; sim_core.hpp documents the two walks.
+RunResult SimCore::run(EngineKind walk) {
+  Slot t = 0;
+  while (!over_budget(t)) {
+    if (n_active() == 0) {
+      // Inactive stretch: skip (uncounted) to the next arrival.
+      t = next_arrival_slot();
+      if (t == kNoSlot) break;  // drained
+    } else if (walk == EngineKind::kSlot) {
+      // A backlog with no scheduled access and no arrival to come is
+      // silent forever: stop instead of spinning on empty slots.
+      if (no_future_access() && next_arrival_slot() == kNoSlot) break;
+    } else {
+      const Slot next_ev = std::min(next_arrival_slot(), next_access_slot());
+      if (next_ev == kNoSlot) break;  // silent forever, as above
+      if (next_ev > t) {
+        // Access-free active span [t, next_ev-1]: state is constant, so
+        // account it in one step, clipped to both budgets.
+        Slot hi = next_ev - 1;
+        if (config_.max_slot != 0) hi = std::min(hi, config_.max_slot);
+        if (config_.max_active_slots != 0) {
+          const std::uint64_t remaining = config_.max_active_slots - counters_.active_slots;
+          if (hi - t + 1 > remaining) hi = t + remaining - 1;
+        }
+        account_quiet_span(t, hi);
+        t = hi + 1;
+        if (t != next_ev) break;  // a budget cut the span short
+      }
+    }
+    // The skip may land past a budget; such a slot is never resolved.
+    if (over_budget(t)) break;
+    // Injections first: a packet may access in its arrival slot.
+    inject_arrivals_at(t);
+    resolve_slot(t);
+    ++t;
+  }
+  RunResult result;
+  finish(&result);
+  return result;
+}
+
 void SimCore::resolve_slot(Slot t) {
   for (PacketShard& shard : shards_) {
     shard.accessors.clear();

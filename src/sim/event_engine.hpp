@@ -1,40 +1,11 @@
-// Event-driven engine: exact geometric gap-skipping.
-//
-// Because every supported protocol changes state only when it accesses the
-// channel (see Protocol contract), each packet's per-slot access
-// probability is constant between accesses, so "which slot do I access
-// next?" is one geometric draw. The engine asks the SimCore for the
-// smallest scheduled access across the per-shard AccessWheels and jumps
-// over the (typically enormous) access-free stretches, accounting active
-// slots and jams for skipped spans arithmetically.
-//
-// Produces bit-identical traces to SlotEngine for the same seed on every
-// jammer family (randomized jammers replay slot-keyed coins); see
-// tests/sim_equivalence_test.cpp. Both engines pop accessors from the
-// same wheels and resolve them in the same canonical order, so the
-// equivalence is structural: they cannot disagree on WHO accesses a slot,
-// only on how they walk time between accesses. config.shards > 1
-// parallelizes the heavy event slots exactly as in the slot engine.
+// The event walk: jumps between accesses in O(accesses). The loop and its
+// documentation live in SimCore::run (sim_core.hpp).
 #pragma once
 
 #include "sim/sim_core.hpp"
 
 namespace lowsense {
 
-class EventEngine {
- public:
-  EventEngine(const ProtocolFactory& factory, ArrivalProcess& arrivals, Jammer& jammer,
-              const RunConfig& config);
-
-  void add_observer(Observer* obs) { core_.add_observer(obs); }
-
-  RunResult run();
-
-  const detail::SimCore& core() const noexcept { return core_; }
-
- private:
-  RunConfig config_;
-  detail::SimCore core_;
-};
+using EventEngine = Engine<EngineKind::kEvent>;
 
 }  // namespace lowsense

@@ -1,4 +1,4 @@
-// Run configuration and result summary shared by both engines.
+// Run configuration, walk selection and result summary of a simulation run.
 #pragma once
 
 #include <cstdint>
@@ -9,6 +9,12 @@
 #include "sim/types.hpp"
 
 namespace lowsense {
+
+/// How SimCore::run walks time between accesses (see sim_core.hpp).
+enum class EngineKind {
+  kEvent,  ///< skip access-free spans arithmetically (default; O(accesses))
+  kSlot,   ///< resolve every active slot one by one (the reference walk)
+};
 
 struct RunConfig {
   /// Stop after this many ACTIVE slots (0 = unlimited). Implicit-throughput

@@ -1,9 +1,31 @@
-// Shared internals of the two simulation engines: packet storage, arrival
-// injection, contention bookkeeping, and single-slot resolution. The
-// engines differ ONLY in how they walk time (every active slot vs.
-// jumping between events); accessor lookup is the per-shard AccessWheel,
-// registered at every point a packet's next_access changes, which is what
-// makes the engines trace-equivalent by construction.
+// The simulation core: packet storage, arrival injection, contention
+// bookkeeping, single-slot resolution, and the one run loop that drives
+// them. Accessor lookup is the per-shard AccessWheel, registered at every
+// point a packet's next_access changes.
+//
+// TWO WALKS, ONE LOOP. A packet's state changes only when it accesses the
+// channel (§1.1; see the Protocol contract), so its per-slot access
+// probability is constant between accesses and "which slot do I access
+// next?" is one geometric draw. SimCore::run therefore has exactly one
+// decision about time, selected by EngineKind:
+//
+//   event walk (EventEngine, the default) — jump from the current slot to
+//     min(next arrival, next scheduled access) and account the
+//     access-free active span in between arithmetically (active slots
+//     and jams; randomized jammers replay slot-keyed coins). A run costs
+//     O(accesses), the paper's energy unit.
+//   slot walk (SlotEngine, the reference) — resolve every active slot
+//     one by one, consulting the jammer on literally every slot: the
+//     model of §1.1 transparently, in O(active slots + accesses).
+//
+// Both walks skip inactive stretches (backlog 0) to the next arrival for
+// free, share the budget checks (RunConfig::max_slot, max_active_slots)
+// and the exit of a backlog that can never access again, and pop the
+// same wheels in the same canonical order — so they cannot disagree on
+// WHO accesses a slot, only on how they walk time between accesses, and
+// their traces are bit-identical on every jammer family (see
+// tests/sim_equivalence_test.cpp). config.shards > 1 parallelizes the
+// heavy slots identically under either walk.
 //
 // OPEN-SYSTEM STORAGE. Packets live in per-shard PacketStores (slab/SoA
 // layout, see packet_store.hpp). Arrivals stream in from the pull-based
@@ -66,6 +88,10 @@ class SimCore {
 
   void add_observer(Observer* obs) { observers_.push_back(obs); }
 
+  /// Runs to drain or budget under the given walk; returns the summary.
+  /// Call once per SimCore.
+  RunResult run(EngineKind walk);
+
   // --- arrival handling -------------------------------------------------
   /// Slot of the next pending arrival burst (kNoSlot when exhausted).
   Slot next_arrival_slot();
@@ -76,10 +102,10 @@ class SimCore {
   // --- slot resolution --------------------------------------------------
   /// Resolves one ACTIVE slot: pops every shard's wheel bucket for t
   /// (advancing the cursors) and runs the three phases above. Increments
-  /// active_slots. Engines call this with non-decreasing t.
+  /// active_slots. run() calls this with non-decreasing t.
   void resolve_slot(Slot t);
 
-  /// Accounts a maximal access-free active span [lo, hi] (event engine).
+  /// Accounts a maximal access-free active span [lo, hi] (event walk).
   void account_quiet_span(Slot lo, Slot hi);
 
   // --- state ------------------------------------------------------------
@@ -89,7 +115,7 @@ class SimCore {
   bool arrivals_exhausted() const noexcept { return arrivals_done_ && !pending_; }
 
   /// Smallest slot with a scheduled access across all shards (kNoSlot
-  /// when none). The engines' next-event query.
+  /// when none). The event walk's next-event query.
   Slot next_access_slot() const noexcept;
 
   /// True iff no active packet will ever access the channel again.
@@ -115,6 +141,10 @@ class SimCore {
   /// heavy slot. Phase inputs (slot, feedback) travel in phase_slot_ /
   /// phase_fb_, written by the serial code before the fork.
   enum class Phase : std::uint32_t { kSendDraws, kFeedback };
+
+  /// True once slot t lies past config.max_slot or the active-slot
+  /// budget is spent.
+  bool over_budget(Slot t) const noexcept;
 
   void depart(Slot t, std::size_t shard_idx, std::uint32_t slab);
   void resolve_phases(Slot t);
@@ -169,3 +199,27 @@ class SimCore {
 };
 
 }  // namespace lowsense::detail
+
+namespace lowsense {
+
+/// A SimCore bound to one walk: EventEngine and SlotEngine
+/// (event_engine.hpp, slot_engine.hpp) are its two instances.
+template <EngineKind Walk>
+class Engine {
+ public:
+  Engine(const ProtocolFactory& factory, ArrivalProcess& arrivals, Jammer& jammer,
+         const RunConfig& config)
+      : core_(factory, arrivals, jammer, config) {}
+
+  void add_observer(Observer* obs) { core_.add_observer(obs); }
+
+  /// Runs to drain or budget; returns the summary.
+  RunResult run() { return core_.run(Walk); }
+
+  const detail::SimCore& core() const noexcept { return core_; }
+
+ private:
+  detail::SimCore core_;
+};
+
+}  // namespace lowsense

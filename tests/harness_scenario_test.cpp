@@ -139,21 +139,21 @@ TEST(ScenarioPackReject, UnknownKeyCarriesOriginAndLine) {
 }
 
 TEST(ScenarioPackReject, UnknownProtocol) {
-  const std::string err = parse_error(
-      "[a]\n"
-      "protocol = warp-drive\n"
-      "arrivals = batch:8\n"
-      "budget   = 100\n");
-  EXPECT_NE(err.find("unknown protocol 'warp-drive'"), std::string::npos) << err;
+  // aloha:<p> takes the whole field as p: trailing bytes, NaN and p
+  // outside (0, 1] make it unknown.
+  for (const char* proto : {"warp-drive", "aloha:0.5xyz", "aloha:nan", "aloha:1.5"}) {
+    const std::string err = parse_error("[a]\nprotocol = " + std::string(proto) +
+                                        "\narrivals = batch:8\nbudget = 100\n");
+    EXPECT_NE(err.find("unknown protocol '" + std::string(proto) + "'"), std::string::npos) << err;
+  }
 }
 
 TEST(ScenarioPackReject, MalformedArrivalsSpec) {
-  const std::string err = parse_error(
-      "[a]\n"
-      "protocol = lsb\n"
-      "arrivals = poisson:not-a-rate\n"
-      "budget   = 100\n");
-  EXPECT_NE(err.find("malformed arrivals spec"), std::string::npos) << err;
+  for (const char* spec : {"poisson:not-a-rate", "batch:10abc", "poisson:0.5x,10"}) {
+    const std::string err = parse_error("[a]\nprotocol = lsb\narrivals = " + std::string(spec) +
+                                        "\nbudget = 100\n");
+    EXPECT_NE(err.find("malformed arrivals spec"), std::string::npos) << spec << ": " << err;
+  }
 }
 
 TEST(ScenarioPackReject, NanArrivalRate) {
@@ -167,13 +167,11 @@ TEST(ScenarioPackReject, NanArrivalRate) {
 }
 
 TEST(ScenarioPackReject, MalformedJammerSpec) {
-  const std::string err = parse_error(
-      "[a]\n"
-      "protocol = lsb\n"
-      "arrivals = batch:8\n"
-      "jammer   = sometimes\n"
-      "budget   = 100\n");
-  EXPECT_NE(err.find("malformed jammer spec"), std::string::npos) << err;
+  for (const char* spec : {"sometimes", "random:0.2x", "burst:100,10x"}) {
+    const std::string err = parse_error("[a]\nprotocol = lsb\narrivals = batch:8\njammer = " +
+                                        std::string(spec) + "\nbudget = 100\n");
+    EXPECT_NE(err.find("malformed jammer spec"), std::string::npos) << spec << ": " << err;
+  }
 }
 
 TEST(ScenarioPackReject, OpenEndedRunNeedsBudgetOrHorizon) {
@@ -227,13 +225,19 @@ TEST(ScenarioPackReject, UnknownExpectMetric) {
 }
 
 TEST(ScenarioPackReject, BadNumber) {
+  for (const char* budget : {"lots", "+100", "1e3", "-1"}) {
+    const std::string err =
+        parse_error("[a]\nprotocol = lsb\narrivals = batch:8\nbudget = " + std::string(budget));
+    EXPECT_NE(err.find("test.pack:4"), std::string::npos) << err;
+    EXPECT_NE(err.find("bad number '" + std::string(budget) + "'"), std::string::npos) << err;
+  }
   const std::string err = parse_error(
       "[a]\n"
       "protocol = lsb\n"
       "arrivals = batch:8\n"
-      "budget   = lots\n");
-  EXPECT_NE(err.find("test.pack:4"), std::string::npos) << err;
-  EXPECT_NE(err.find("bad number 'lots'"), std::string::npos) << err;
+      "budget   = 100\n"
+      "expect   = throughput >= nan\n");
+  EXPECT_NE(err.find("bad number 'nan'"), std::string::npos) << err;
 }
 
 TEST(ScenarioPackReject, DuplicateScenarioName) {

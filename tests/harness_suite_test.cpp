@@ -126,6 +126,24 @@ TEST(SuiteOptionsTest, BadValuesAreRejectedEagerly) {
       parse_suite_options(mini_def(), make_args({"--arrivals=poisson:nan,10"}), &opts, &error));
   EXPECT_NE(error.find("arrivals"), std::string::npos);
   EXPECT_FALSE(parse_suite_options(mini_def(), make_args({"--reps=0"}), &opts, &error));
+  // Malformed numbers, including the declared bench params, are usage
+  // errors: no trailing bytes, no sign on a count, no exponent form.
+  for (const char* bad : {"--reps=abc", "--seed=1e6", "--jam-seed=-3", "--n=4x", "--n=-1",
+                          "--rate=0.2x", "--rate=nan"}) {
+    error.clear();
+    EXPECT_FALSE(parse_suite_options(mini_def(), make_args({bad}), &opts, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  // Worker counts: a sign would wrap to 2^64-1 and ask for ~4e9 threads,
+  // and anything past the ceiling is refused before a pool exists.
+  // Parsing alone starts no thread.
+  for (const char* bad : {"--threads=-1", "--shards=-1", "--threads=4097", "--shards=4294967296"}) {
+    error.clear();
+    EXPECT_FALSE(parse_suite_options(mini_def(), make_args({bad}), &opts, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  ASSERT_TRUE(parse_suite_options(mini_def(), make_args({"--threads=4096"}), &opts, &error));
+  EXPECT_EQ(opts.threads, ParallelExecutor::kMaxThreads);
 }
 
 TEST(SuiteRunnerTest, UnknownFlagExitsNonzeroWithoutRunningTheBody) {

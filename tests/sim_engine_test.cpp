@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <type_traits>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammer.hpp"
@@ -32,23 +34,30 @@ RunResult run_batch(std::uint64_t n, std::uint64_t seed, Jammer* jammer = nullpt
   return engine.run();
 }
 
+// The walk-independent behaviours run on both engines.
+template <typename Engine>
+class BothEngines : public ::testing::Test {};
+
+struct EngineNames {
+  template <typename Engine>
+  static std::string GetName(int) {
+    return std::is_same_v<Engine, EventEngine> ? "EventEngine" : "SlotEngine";
+  }
+};
+
+using Engines = ::testing::Types<EventEngine, SlotEngine>;
+TYPED_TEST_SUITE(BothEngines, Engines, EngineNames);
+
 // ------------------------------------------------------- single packet
 
-TEST(EventEngine, SinglePacketSucceedsImmediatelyFirstSend) {
+TYPED_TEST(BothEngines, SinglePacketSucceedsImmediatelyFirstSend) {
   // Alone on the channel, the first transmission must succeed.
-  const RunResult r = run_batch<EventEngine>(1, 3);
+  const RunResult r = run_batch<TypeParam>(1, 3);
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.counters.successes, 1u);
   EXPECT_EQ(r.counters.arrivals, 1u);
   EXPECT_EQ(r.send_stats.max(), 1.0);  // exactly one send, the winner
   EXPECT_EQ(r.counters.backlog, 0u);
-}
-
-TEST(SlotEngine, SinglePacketSucceedsImmediatelyFirstSend) {
-  const RunResult r = run_batch<SlotEngine>(1, 3);
-  EXPECT_TRUE(r.drained);
-  EXPECT_EQ(r.counters.successes, 1u);
-  EXPECT_EQ(r.send_stats.max(), 1.0);
 }
 
 TEST(EventEngine, SinglePacketLatencyMatchesGeometricScale) {
@@ -106,53 +115,35 @@ TEST(EventEngine, DifferentSeedsDiffer) {
 
 // --------------------------------------------------------------- budgets
 
-TEST(EventEngine, MaxActiveSlotBudgetStopsRun) {
+TYPED_TEST(BothEngines, MaxActiveSlotBudgetStopsRun) {
   RunConfig cfg;
   cfg.max_active_slots = 50;
-  const RunResult r = run_batch<EventEngine>(1000, 5, nullptr, cfg);
+  const RunResult r = run_batch<TypeParam>(1000, 5, nullptr, cfg);
   EXPECT_FALSE(r.drained);
   EXPECT_LE(r.counters.active_slots, 50u);
   EXPECT_GT(r.counters.backlog, 0u);
 }
 
-TEST(SlotEngine, MaxActiveSlotBudgetStopsRun) {
-  RunConfig cfg;
-  cfg.max_active_slots = 50;
-  const RunResult r = run_batch<SlotEngine>(1000, 5, nullptr, cfg);
-  EXPECT_FALSE(r.drained);
-  EXPECT_LE(r.counters.active_slots, 50u);
-}
-
-TEST(EventEngine, MaxSlotBudgetStopsRun) {
+TYPED_TEST(BothEngines, MaxSlotBudgetStopsRun) {
   RunConfig cfg;
   cfg.max_slot = 100;
-  const RunResult r = run_batch<EventEngine>(1000, 5, nullptr, cfg);
+  const RunResult r = run_batch<TypeParam>(1000, 5, nullptr, cfg);
   EXPECT_FALSE(r.drained);
   EXPECT_LE(r.counters.slot, 100u);
 }
 
 // -------------------------------------------------------------- arrivals
 
-TEST(EventEngine, InactiveGapsAreNotCounted) {
+TYPED_TEST(BothEngines, InactiveGapsAreNotCounted) {
   // Two lone packets far apart: the dead time between them must not count
   // as active slots.
   LowSensingFactory factory;
   ScheduleArrivals arrivals({{0, 1}, {1000000, 1}});
   NoJammer none;
-  EventEngine engine(factory, arrivals, none, config_with_seed(9));
+  TypeParam engine(factory, arrivals, none, config_with_seed(9));
   const RunResult r = engine.run();
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.counters.successes, 2u);
-  EXPECT_LT(r.counters.active_slots, 10000u);
-}
-
-TEST(SlotEngine, InactiveGapsAreNotCounted) {
-  LowSensingFactory factory;
-  ScheduleArrivals arrivals({{0, 1}, {1000000, 1}});
-  NoJammer none;
-  SlotEngine engine(factory, arrivals, none, config_with_seed(9));
-  const RunResult r = engine.run();
-  EXPECT_TRUE(r.drained);
   EXPECT_LT(r.counters.active_slots, 10000u);
 }
 
@@ -168,13 +159,13 @@ TEST(EventEngine, PoissonStreamDrains) {
 
 // --------------------------------------------------------------- jamming
 
-TEST(EventEngine, FullJammingPreventsAllProgress) {
+TYPED_TEST(BothEngines, FullJammingPreventsAllProgress) {
   LowSensingFactory factory;
   BatchArrivals arrivals(10);
   RandomJammer jammer(1.0, 0, CounterRng(1));
   RunConfig cfg = config_with_seed(4);
   cfg.max_active_slots = 2000;
-  EventEngine engine(factory, arrivals, jammer, cfg);
+  TypeParam engine(factory, arrivals, jammer, cfg);
   const RunResult r = engine.run();
   EXPECT_EQ(r.counters.successes, 0u);
   EXPECT_EQ(r.counters.backlog, 10u);
@@ -239,17 +230,20 @@ TEST(EventEngine, FixedProbabilityGenieDrains) {
   EXPECT_EQ(r.counters.successes, 64u);
 }
 
-TEST(EventEngine, ZeroAccessProbabilityTerminates) {
-  // A protocol that never accesses must not hang the engine.
+TYPED_TEST(BothEngines, ZeroAccessProbabilityTerminates) {
+  // A protocol that never accesses must not hang the engine: a backlog
+  // with no scheduled access and no arrival to come stops the run right
+  // after its arrival slot, long before the max_slot budget.
   FixedProbabilityFactory factory(0.0);
   BatchArrivals arrivals(3);
   NoJammer none;
   RunConfig cfg = config_with_seed(16);
   cfg.max_slot = 10000;
-  EventEngine engine(factory, arrivals, none, cfg);
+  TypeParam engine(factory, arrivals, none, cfg);
   const RunResult r = engine.run();
   EXPECT_FALSE(r.drained);
   EXPECT_EQ(r.counters.successes, 0u);
+  EXPECT_EQ(r.counters.active_slots, 1u);
 }
 
 }  // namespace
