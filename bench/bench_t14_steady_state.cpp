@@ -4,8 +4,8 @@
 // open-system refactor: on finite scenarios the recycling slab store
 // (config.reclaim on, the default) must produce runs BIT-IDENTICAL to
 // the closed-population layout (reclaim off) — same counters, same
-// floating-point contention, same per-packet stats — across both
-// engines and shard counts, because every observable quantity is keyed
+// floating-point contention, same per-packet stats — on both engines,
+// because every observable quantity is keyed
 // on logical packet ids, never on slab placement (see packet_store.hpp).
 //
 // Second, the capability the refactor buys: an UNBOUNDED Poisson stream
@@ -61,81 +61,76 @@ void body(BenchContext& ctx) {
       {"aqt-random", "aqt:0.3,64,random,%n", "burst:97,13"},
   };
 
-  Table table({"cell", "engine", "shards", "active slots", "successes", "open slabs",
-               "closed slabs", "recycled", "match"});
+  Table table({"cell", "engine", "active slots", "successes", "open slabs", "closed slabs",
+               "recycled", "match"});
   bool all_match = true;
 
   for (const Cell& cell : kGrid) {
     const auto arr_factory = parse_arrivals_spec(subst_n(cell.arrivals, n));
     const auto jam_factory = parse_jammer_spec(cell.jammer, ctx.jam_seed());
     for (const EngineKind engine : {EngineKind::kSlot, EngineKind::kEvent}) {
-      for (const unsigned shards : {1u, 4u}) {
-        Scenario s;
-        s.protocol = [] { return make_protocol("low-sensing"); };
-        s.arrivals = arr_factory;
-        s.jammer = jam_factory;
-        s.engine = engine;
-        s.engine_locked = true;
-        s.config.shards = shards;
-        s.shards_locked = true;
-        s.config.max_active_slots = 400ULL * n;
+      Scenario s;
+      s.protocol = [] { return make_protocol("low-sensing"); };
+      s.arrivals = arr_factory;
+      s.jammer = jam_factory;
+      s.engine = engine;
+      s.engine_locked = true;
+      s.config.max_active_slots = 400ULL * n;
 
-        Replicates legs[2];  // [0] = open (reclaim), [1] = closed
-        for (const bool closed : {false, true}) {
-          Scenario variant = s;
-          variant.config.reclaim = !closed;
-          variant.name = std::string(cell.label) + "/" + engine_name(engine) + "/sh" +
-                         std::to_string(shards) + (closed ? "/closed" : "/open");
-          legs[closed] = ctx.run(std::move(variant),
-                                 {{"cell", cell.label},
-                                  {"engine", engine_name(engine)},
-                                  {"shards", std::to_string(shards)},
-                                  {"population", closed ? "closed" : "open"}});
-        }
-
-        const Replicates& open = legs[0];
-        const Replicates& closed = legs[1];
-        bool match = open.runs.size() == closed.runs.size();
-        for (std::size_t i = 0; match && i < open.runs.size(); ++i) {
-          const RunResult& a = open.runs[i];
-          const RunResult& b = closed.runs[i];
-          match &= a.counters.slot == b.counters.slot;
-          match &= a.counters.active_slots == b.counters.active_slots;
-          match &= a.counters.arrivals == b.counters.arrivals;
-          match &= a.counters.successes == b.counters.successes;
-          match &= a.counters.jammed_active_slots == b.counters.jammed_active_slots;
-          match &= a.counters.backlog == b.counters.backlog;
-          match &= a.counters.contention == b.counters.contention;  // exact FP
-          match &= a.drained == b.drained;
-          match &= a.max_accesses == b.max_accesses;
-          match &= a.peak_backlog == b.peak_backlog;
-          match &= a.max_window_seen == b.max_window_seen;
-          match &= a.access_stats.count() == b.access_stats.count();
-          match &= a.access_stats.sum() == b.access_stats.sum();
-          match &= a.send_stats.sum() == b.send_stats.sum();
-          match &= a.latency_stats.sum() == b.latency_stats.sum();
-          // The memory model itself: the closed path never recycles and
-          // keeps one slab per arrival; the open path never needs more.
-          match &= b.slabs_recycled == 0;
-          match &= b.slab_capacity == b.counters.arrivals;
-          match &= a.slab_capacity <= b.slab_capacity;
-        }
-        all_match &= match;
-
-        const RunResult& a0 = open.runs.front();
-        const RunResult& b0 = closed.runs.front();
-        table.add_row({cell.label, engine_name(engine), std::to_string(shards),
-                       std::to_string(a0.counters.active_slots),
-                       std::to_string(a0.counters.successes),
-                       std::to_string(a0.slab_capacity), std::to_string(b0.slab_capacity),
-                       std::to_string(a0.slabs_recycled), match ? "yes" : "NO"});
+      Replicates legs[2];  // [0] = open (reclaim), [1] = closed
+      for (const bool closed : {false, true}) {
+        Scenario variant = s;
+        variant.config.reclaim = !closed;
+        variant.name = std::string(cell.label) + "/" + engine_name(engine) +
+                       (closed ? "/closed" : "/open");
+        legs[closed] = ctx.run(std::move(variant),
+                               {{"cell", cell.label},
+                                {"engine", engine_name(engine)},
+                                {"population", closed ? "closed" : "open"}});
       }
+
+      const Replicates& open = legs[0];
+      const Replicates& closed = legs[1];
+      bool match = open.runs.size() == closed.runs.size();
+      for (std::size_t i = 0; match && i < open.runs.size(); ++i) {
+        const RunResult& a = open.runs[i];
+        const RunResult& b = closed.runs[i];
+        match &= a.counters.slot == b.counters.slot;
+        match &= a.counters.active_slots == b.counters.active_slots;
+        match &= a.counters.arrivals == b.counters.arrivals;
+        match &= a.counters.successes == b.counters.successes;
+        match &= a.counters.jammed_active_slots == b.counters.jammed_active_slots;
+        match &= a.counters.backlog == b.counters.backlog;
+        match &= a.counters.contention == b.counters.contention;  // exact FP
+        match &= a.drained == b.drained;
+        match &= a.max_accesses == b.max_accesses;
+        match &= a.peak_backlog == b.peak_backlog;
+        match &= a.max_window_seen == b.max_window_seen;
+        match &= a.access_stats.count() == b.access_stats.count();
+        match &= a.access_stats.sum() == b.access_stats.sum();
+        match &= a.send_stats.sum() == b.send_stats.sum();
+        match &= a.latency_stats.sum() == b.latency_stats.sum();
+        // The memory model itself: the closed path never recycles and
+        // keeps one slab per arrival; the open path never needs more.
+        match &= b.slabs_recycled == 0;
+        match &= b.slab_capacity == b.counters.arrivals;
+        match &= a.slab_capacity <= b.slab_capacity;
+      }
+      all_match &= match;
+
+      const RunResult& a0 = open.runs.front();
+      const RunResult& b0 = closed.runs.front();
+      table.add_row({cell.label, engine_name(engine),
+                     std::to_string(a0.counters.active_slots),
+                     std::to_string(a0.counters.successes),
+                     std::to_string(a0.slab_capacity), std::to_string(b0.slab_capacity),
+                     std::to_string(a0.slabs_recycled), match ? "yes" : "NO"});
     }
   }
   ctx.table(table, "(first replicate shown; match = every replicate bit-identical between "
                    "reclaim on and off, plus the closed leg allocating exactly one slab per "
                    "arrival)");
-  ctx.check("open-system path bit-identical to closed population across engines and shards",
+  ctx.check("open-system path bit-identical to closed population on both engines",
             all_match);
 
   // ------------------------------------------------ unbounded steady state
@@ -209,16 +204,13 @@ void body(BenchContext& ctx) {
             std::to_string(run.counters.arrivals) + " arrivals over " +
                 std::to_string(horizon) + " slots");
 
-  // The memory-model witness. Every shard rounds its peak up by at most
-  // its own live population, so compare against peak backlog with a
+  // The memory-model witness: compare against peak backlog with a
   // generous constant — what must NOT happen is capacity tracking the
   // arrival count (closed population would hold one slab per arrival).
-  // Exact slab counts are per-shard allocator state and therefore vary
-  // with --shards= (unlike every simulation observable), so the PASS
-  // lines print only shard-stable numbers — the shard-identity smoke
-  // diffs this stdout byte-for-byte — and the exact counts live in the
-  // JSON metrics above (and in the detail when the check fails).
-  const std::uint64_t cap_bound = 8 * (run.peak_backlog + ctx.shards());
+  // The PASS line prints peak backlog and arrivals; the exact slab counts
+  // live in the JSON metrics above (and in the detail when the check
+  // fails).
+  const std::uint64_t cap_bound = 8 * (run.peak_backlog + 1);
   const bool cap_ok = run.slab_capacity <= cap_bound &&
                       run.slab_capacity * 4 <= run.counters.arrivals;
   ctx.check("slab capacity tracks peak live backlog, not the arrival horizon",

@@ -1,12 +1,12 @@
 # Verifies one golden scenario pack end to end:
 #
-#   1. runs `lowsense_cli --pack=` under every engine x shards combination
-#      (event/slot x 1/4) — a nonzero exit means a pinned digest or an
-#      expectation failed under that combination;
-#   2. regenerates the manifest under each combination and diffs every one
-#      against the checked-in golden *.manifest.jsonl with pack_diff.py —
-#      manifests carry only engine/shard-invariant fields, so any byte of
-#      drift is a determinism or behavior regression.
+#   1. runs `lowsense_cli --pack=` under each engine (event, slot) — a
+#      nonzero exit means a pinned digest or an expectation failed under
+#      that engine;
+#   2. regenerates the manifest under each engine and diffs it against
+#      the checked-in golden *.manifest.jsonl with pack_diff.py —
+#      manifests carry only engine-invariant fields, so any byte of drift
+#      is a determinism or behavior regression.
 #
 # Arguments (via -D):
 #   CLI        full path of the lowsense_cli executable
@@ -20,26 +20,23 @@ get_filename_component(PACK_NAME ${PACK} NAME_WE)
 file(MAKE_DIRECTORY ${WORK_DIR})
 
 foreach(engine event slot)
-  foreach(shards 1 4)
-    set(candidate ${WORK_DIR}/${PACK_NAME}_${engine}_sh${shards}.manifest.jsonl)
-    execute_process(
-      COMMAND ${CLI} --pack=${PACK} --engine=${engine} --shards=${shards}
-              --manifest=${candidate}
-      OUTPUT_QUIET
-      RESULT_VARIABLE rc_run)
-    if(NOT rc_run EQUAL 0)
-      message(FATAL_ERROR
-              "${PACK_NAME}: --engine=${engine} --shards=${shards} exited with "
-              "${rc_run} (digest or expectation failure)")
-    endif()
+  set(candidate ${WORK_DIR}/${PACK_NAME}_${engine}.manifest.jsonl)
+  execute_process(
+    COMMAND ${CLI} --pack=${PACK} --engine=${engine} --manifest=${candidate}
+    OUTPUT_QUIET
+    RESULT_VARIABLE rc_run)
+  if(NOT rc_run EQUAL 0)
+    message(FATAL_ERROR
+            "${PACK_NAME}: --engine=${engine} exited with ${rc_run} "
+            "(digest or expectation failure)")
+  endif()
 
-    execute_process(
-      COMMAND ${PYTHON} ${PACK_DIFF} ${GOLDEN} ${candidate}
-      RESULT_VARIABLE rc_diff)
-    if(NOT rc_diff EQUAL 0)
-      message(FATAL_ERROR
-              "${PACK_NAME}: manifest drift under --engine=${engine} "
-              "--shards=${shards} (${candidate} vs ${GOLDEN})")
-    endif()
-  endforeach()
+  execute_process(
+    COMMAND ${PYTHON} ${PACK_DIFF} ${GOLDEN} ${candidate}
+    RESULT_VARIABLE rc_diff)
+  if(NOT rc_diff EQUAL 0)
+    message(FATAL_ERROR
+            "${PACK_NAME}: manifest drift under --engine=${engine} "
+            "(${candidate} vs ${GOLDEN})")
+  endif()
 endforeach()

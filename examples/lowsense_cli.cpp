@@ -39,10 +39,10 @@ namespace {
 void usage() {
   std::printf("usage: lowsense_cli [--protocol=NAME] [--arrivals=SPEC] [--jammer=SPEC]\n"
               "                    [--reps=K] [--seed=S] [--jam-seed=J] [--threads=T]\n"
-              "                    [--shards=M] [--max-active-slots=B] [--engine=event|slot]\n"
+              "                    [--max-active-slots=B] [--engine=event|slot]\n"
               "                    [--csv] [--json=PATH]\n"
               "       lowsense_cli --pack=FILE[:name] [--manifest=PATH]\n"
-              "                    [--engine=event|slot] [--shards=M] [--csv]\n\n"
+              "                    [--engine=event|slot] [--csv]\n\n"
               "protocols: ");
   for (const auto& name : protocol_names()) std::printf("%s ", name.c_str());
   std::printf("\narrivals : batch:N | poisson:rate,N | aqt:lambda,S,pattern,N\n");
@@ -52,15 +52,12 @@ void usage() {
   std::printf("--jam-seed=J pins the randomized jammers' slot-keyed coins to one\n"
               "fixed adversary across replicates (0/absent: per-replicate coins)\n");
   std::printf("--threads=T fans replicates over T workers (0 = all cores); output is\n"
-              "byte-identical to the serial run\n");
-  std::printf("--shards=M shards each RUN's packet population over M threads (0 = all\n"
-              "cores); results are bit-identical to --shards=1 — use it for one giant run,\n"
-              "--threads for many replicates\n");
+              "byte-identical to the serial run. Each run itself is serial.\n");
   std::printf("--json=PATH writes the structured lowsense-bench/v1 result document\n");
   std::printf("--pack=FILE[:name] runs a scenario pack (every entry, or just `name`) at\n"
               "the entries' pinned seeds; exit 1 when any pinned digest or expectation\n"
               "fails. --manifest=PATH writes the lowsense-pack/v1 JSONL manifest, which\n"
-              "is byte-identical for every --engine/--shards combination.\n");
+              "is byte-identical for either --engine.\n");
 }
 
 }  // namespace
@@ -87,7 +84,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 0;
   std::uint64_t jam_seed = 0;
   unsigned threads = 1;
-  unsigned shards = 1;
   Scenario s;
   try {
     const std::uint64_t r = args.u64("reps", 3);
@@ -98,7 +94,6 @@ int main(int argc, char** argv) {
     seed = args.u64("seed", 1);
     jam_seed = args.u64("jam-seed", 0);
     threads = thread_count_flag(args, "threads");
-    shards = thread_count_flag(args, "shards");
     s.config.max_active_slots = args.u64("max-active-slots", 50000000ULL);
     s.engine = parse_engine(args.str("engine", "event"));
   } catch (const std::invalid_argument& e) {
@@ -111,13 +106,12 @@ int main(int argc, char** argv) {
   s.protocol = [proto] { return make_protocol(proto); };
   s.arrivals = parse_arrivals_spec(arrivals_spec);
   s.jammer = parse_jammer_spec(jammer_spec, jam_seed);
-  s.config.shards = shards;
 
   // Every accepted flag has been queried above; anything left over is a
   // typo, and a silently ignored --thread=8 is worse than an error.
   const auto unknown = args.unknown_keys();
   if (!unknown.empty()) {
-    for (const auto& k : unknown) std::fprintf(stderr, "unknown flag %s\n", k.c_str());
+    for (const auto& k : unknown) std::fprintf(stderr, "unknown or repeated flag %s\n", k.c_str());
     std::fprintf(stderr, "\n");
     usage();
     return 2;
@@ -135,8 +129,8 @@ int main(int argc, char** argv) {
   }
 
   if (!pack_ref.empty()) {
-    // Pack mode: each entry runs once at its pinned seed; --engine= and
-    // --shards= apply unless the entry pins shards itself. The per-entry
+    // Pack mode: each entry runs once at its pinned seed under --engine=.
+    // The per-entry
     // flags of the ad-hoc mode (protocol/arrivals/...) are ignored — the
     // pack IS the scenario definition.
     ScenarioPack pack;
@@ -156,9 +150,8 @@ int main(int argc, char** argv) {
     Table table({"scenario", "digest", "throughput", "departures", "drained", "verdict"});
     for (const PackEntry& e : pack.entries) {
       PackEntryOutcome o = run_pack_entry(
-          e, [engine, shards](Scenario sc, std::uint64_t sd, const std::vector<Observer*>& obs) {
+          e, [engine](Scenario sc, std::uint64_t sd, const std::vector<Observer*>& obs) {
             if (!sc.engine_locked) sc.engine = engine;
-            if (!sc.shards_locked) sc.config.shards = shards;
             return run_scenario(sc, sd, obs);
           });
       if (!o.digest_ok) {
@@ -229,7 +222,6 @@ int main(int argc, char** argv) {
     meta.options = {{"reps", std::to_string(reps)},
                     {"seed", std::to_string(seed)},
                     {"threads", std::to_string(threads)},
-                    {"shards", std::to_string(shards)},
                     {"engine", engine_name(s.engine)},
                     {"jammer", jammer_spec},
                     {"jam-seed", std::to_string(jam_seed)},

@@ -77,7 +77,7 @@ int main(int argc, char** argv) try {
   const std::uint64_t seed = args.u64("seed", 13);
   const unsigned threads = thread_count_flag(args, "threads");
   for (const auto& k : args.unknown_keys()) {
-    std::fprintf(stderr, "unknown flag %s\n", k.c_str());
+    std::fprintf(stderr, "unknown or repeated flag %s\n", k.c_str());
     std::fprintf(stderr,
                  "usage: sensor_network [--sensors=N] [--rounds=R] [--seed=S] [--threads=T]\n");
     return 2;

@@ -72,7 +72,7 @@ int main(int argc, char** argv) try {
   const std::uint64_t seed = args.u64("seed", 11);
   const EngineKind engine = parse_engine(args.str("engine", "event"));
   for (const auto& k : args.unknown_keys()) {
-    std::fprintf(stderr, "unknown flag %s\n", k.c_str());
+    std::fprintf(stderr, "unknown or repeated flag %s\n", k.c_str());
     std::fprintf(stderr, "usage: wifi_saturation [--granularity=S] [--lambda=L] [--seed=S] "
                          "[--engine=event|slot]\n");
     return 2;

@@ -33,8 +33,8 @@ bit-identical, so any drift is reported as a warning (a behavior change
 shipped alongside a perf change), but only slots/s gates the exit code —
 timing is noisy on shared runners, numbers are not.
 
-Per-scenario "derived" values (T12's slot-over-event slots/s ratio,
-T13's shard-scaling speedups) are tracked too: like speeds they move
+Per-scenario "derived" values (e.g. T12's slot-over-event slots/s
+ratio) are tracked too: like speeds they move
 with the hardware, so changes beyond --derived-drift are reported as
 warnings and never gate.
 """
@@ -78,8 +78,8 @@ def extract_series(doc):
              --benchmark_min_time already guarantees a stable window)
     metrics: {series_name: {metric_name: median}}
     derived: {series_name:value_name: value} — timing-DERIVED tracked
-             numbers (T12's slot-vs-event slots/s ratio, T13's shard
-             speedups). Like speeds they move with the hardware, so
+             numbers (e.g. T12's slot-vs-event slots/s
+             ratio). Like speeds they move with the hardware, so
              drift is reported, never gated, and with its own looser
              threshold (--derived-drift).
     """
@@ -190,8 +190,8 @@ def main():
     ap.add_argument("--metric-tol", type=float, default=1e-9,
                     help="relative tolerance before a metric median counts as drifted")
     ap.add_argument("--derived-drift", type=float, default=0.25,
-                    help="relative change before a derived value (speed ratios, shard "
-                         "speedups) is reported as drifted — warn only, never gates "
+                    help="relative change before a derived value (speed ratios, "
+                         "slabs per backlog) is reported as drifted — warn only, never gates "
                          "(default 0.25)")
     ap.add_argument("--markdown", default="",
                     help="also write a markdown report (for a PR comment) to this path")
@@ -274,7 +274,7 @@ def main():
             print(f"  ... and {len(drifted) - 20} more")
     if ratio_drift:
         print(f"\nderived drift ({len(ratio_drift)} tracked ratio(s) moved by more than "
-              f"{args.derived_drift:.0%} — engine speed ratios / shard speedups; warn only):")
+              f"{args.derived_drift:.0%} — speed ratios and other derived values; warn only):")
         for name, old_v, new_v in ratio_drift[:20]:
             print(f"  {name}: {old_v:.3g} -> {new_v:.3g}")
         if len(ratio_drift) > 20:
@@ -310,7 +310,7 @@ def main():
                 f.write(f"\n{len(drifted)} metric median(s) drifted (behavior change).\n")
             if ratio_drift:
                 f.write(f"\n{len(ratio_drift)} derived ratio(s) drifted beyond "
-                        f"{args.derived_drift:.0%} (speed ratios / shard speedups).\n")
+                        f"{args.derived_drift:.0%} (speed ratios and other derived values).\n")
 
     return 0 if verdict_ok else 1
 

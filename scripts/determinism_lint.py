@@ -2,7 +2,7 @@
 """Determinism lint: machine-checks the (scenario, seed) purity contract.
 
 The repo's headline guarantee is that every result is a pure function of
-(scenario, seed) — independent of threads, shards, engine choice, slab
+(scenario, seed) — independent of threads, engine choice, slab
 placement, and storage reclamation. The output-diff tests enforce that
 end to end; this lint enforces the MECHANISMS at the source level by
 banning the constructs that historically smuggle nondeterminism into
@@ -35,11 +35,13 @@ observable paths:
                              fork results across hosts. The coin loops
                              are scalar; no file is exempt.
   stream-rng-in-send-phase   stream-based Rng draws inside SimCore's
-                             phase-1 send-draw section: phase 1 runs in
-                             parallel per shard, where only slot-keyed
+                             phase-1 send-draw section: a send decision
+                             must be pure in (packet, slot), so both
+                             walks of time (and any batch evaluation
+                             order) draw the same coin; only slot-keyed
                              CounterRng coins (pure in (key, slot)) are
                              legal. A stream draw's VALUE depends on how
-                             many draws preceded it, i.e. on scheduling.
+                             many draws preceded it, i.e. on call order.
                              (Per-packet gap streams in phase 3 are fine:
                              each packet owns its stream.)
 
@@ -108,7 +110,7 @@ RULES = [
         "thread-id",
         r"\bthis_thread::get_id\b|\bpthread_self\b|(?<![\w:])gettid\s*\(",
         "logic keyed on worker identity varies run to run; key on logical "
-        "packet/shard ids instead",
+        "packet ids instead",
     ),
     Rule(
         "pointer-order",
@@ -136,9 +138,9 @@ SEND_PHASE_OPEN = re.compile(r"\bphase_send_draws\s*\(")
 SEND_PHASE_BAD = re.compile(r"\bRng\b|\brng\b")
 SEND_PHASE_RULE_ID = "stream-rng-in-send-phase"
 SEND_PHASE_MESSAGE = (
-    "phase-1 send draws run in parallel per shard: only slot-keyed "
+    "phase-1 send draws must be pure in (packet, slot): only slot-keyed "
     "CounterRng coins are legal there (a stream Rng draw's value depends "
-    "on scheduling-visible call order)"
+    "on call order)"
 )
 
 

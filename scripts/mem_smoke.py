@@ -21,8 +21,9 @@ Usage:
   mem_smoke.py --bench=PATH [--short=200000] [--long=2000000]
                [--factor=1.5] [--min-mb=1.0] [-- BENCH_ARGS...]
 
-BENCH_ARGS are passed to both runs; the horizon is appended last as
---horizon=N so it wins. Exit status: 0 = proportional, 1 = RSS grew
+BENCH_ARGS are passed to both runs with --horizon=N appended, so they
+must not set --horizon= themselves (benches reject a repeated flag).
+Exit status: 0 = proportional, 1 = RSS grew
 with the horizon (or a run failed), 2 = usage error.
 """
 
@@ -73,6 +74,9 @@ def main() -> int:
         bench_args = bench_args[1:]
     if args.short <= 0 or args.long <= args.short:
         print("mem_smoke: need 0 < --short < --long", file=sys.stderr)
+        return 2
+    if any(a.startswith("--horizon") for a in bench_args):
+        print("mem_smoke: BENCH_ARGS must not set --horizon=", file=sys.stderr)
         return 2
 
     peaks = {}

@@ -2,8 +2,8 @@
 """Diff scenario-pack manifests (lowsense-pack/v1 JSONL) and flag drift.
 
 A pack manifest holds one line per scenario with the run's trace digest
-and its engine/shard-invariant metrics. Regenerating a manifest with the
-same code MUST be byte-identical for every engine and shard count, so —
+and its engine-invariant metrics. Regenerating a manifest with the same
+code MUST be byte-identical for either engine, so —
 unlike bench_diff.py's tolerance-laden perf gate — this diff is exact:
 ANY difference is drift and fails.
 

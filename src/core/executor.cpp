@@ -1,25 +1,10 @@
 #include "core/executor.hpp"
 
-#include <chrono>
 #include <utility>
 
 namespace lowsense {
 
-namespace {
-
-thread_local bool t_on_worker = false;
-
-inline void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__)
-  asm volatile("yield");
-#endif
-}
-
-}  // namespace
-
-ParallelExecutor::ParallelExecutor(unsigned threads, unsigned spin_us) : spin_us_(spin_us) {
+ParallelExecutor::ParallelExecutor(unsigned threads) {
   if (threads == 0) threads = 1;
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
@@ -30,7 +15,7 @@ ParallelExecutor::ParallelExecutor(unsigned threads, unsigned spin_us) : spin_us
 ParallelExecutor::~ParallelExecutor() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_relaxed);
+    stop_ = true;
   }
   work_available_.notify_all();
   for (auto& w : workers_) w.join();
@@ -40,42 +25,11 @@ void ParallelExecutor::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     tasks_.push_back(std::move(task));
-    queued_.fetch_add(1, std::memory_order_relaxed);
-    submitted_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Skip the notify syscall when every worker is known to be spinning;
-  // sleepers_ only changes under mu_, so a worker heading to sleep either
-  // saw this task in the queue or is counted here.
-  if (spin_us_ == 0 || sleepers_.load(std::memory_order_relaxed) > 0) {
-    work_available_.notify_one();
-  }
-}
-
-bool ParallelExecutor::try_take(std::function<void()>* task) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (tasks_.empty()) return false;
-  *task = std::move(tasks_.front());
-  tasks_.pop_front();
-  queued_.fetch_sub(1, std::memory_order_relaxed);
-  ++in_flight_;
-  return true;
+  work_available_.notify_one();
 }
 
 void ParallelExecutor::wait() {
-  if (spin_us_ != 0) {
-    // Fast path: the caller usually finished its own share of the batch
-    // just as the workers finish theirs — poll briefly before paying the
-    // futex sleep. completed_ is incremented under mu_ AFTER in_flight_
-    // drops, so seeing completed == submitted means the condvar predicate
-    // below is already true and the lock acquisition is uncontended.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(4 * spin_us_);
-    while (completed_.load(std::memory_order_acquire) !=
-               submitted_.load(std::memory_order_relaxed) &&
-           std::chrono::steady_clock::now() < deadline) {
-      cpu_relax();
-    }
-  }
   std::unique_lock<std::mutex> lock(mu_);
   all_done_.wait(lock, [this] { return tasks_.empty() && in_flight_ == 0; });
   if (first_error_) {
@@ -90,36 +44,15 @@ unsigned ParallelExecutor::default_threads() noexcept {
   return hw == 0 ? 1 : hw;
 }
 
-bool ParallelExecutor::on_worker_thread() noexcept { return t_on_worker; }
-
 void ParallelExecutor::worker_loop() {
-  t_on_worker = true;
   for (;;) {
     std::function<void()> task;
-    bool have = try_take(&task);
-    if (!have && spin_us_ != 0 && !stop_.load(std::memory_order_relaxed)) {
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::microseconds(spin_us_);
-      while (!stop_.load(std::memory_order_relaxed) &&
-             std::chrono::steady_clock::now() < deadline) {
-        if (queued_.load(std::memory_order_relaxed) != 0 && try_take(&task)) {
-          have = true;
-          break;
-        }
-        cpu_relax();
-      }
-    }
-    if (!have) {
+    {
       std::unique_lock<std::mutex> lock(mu_);
-      sleepers_.fetch_add(1, std::memory_order_relaxed);
-      work_available_.wait(lock, [this] {
-        return stop_.load(std::memory_order_relaxed) || !tasks_.empty();
-      });
-      sleepers_.fetch_sub(1, std::memory_order_relaxed);
+      work_available_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
       if (tasks_.empty()) return;  // stop_ set and queue drained
       task = std::move(tasks_.front());
       tasks_.pop_front();
-      queued_.fetch_sub(1, std::memory_order_relaxed);
       ++in_flight_;
     }
     try {
@@ -131,7 +64,6 @@ void ParallelExecutor::worker_loop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       --in_flight_;
-      completed_.fetch_add(1, std::memory_order_release);
       if (tasks_.empty() && in_flight_ == 0) all_done_.notify_all();
     }
   }

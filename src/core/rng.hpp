@@ -186,7 +186,7 @@ class CounterRng {
   // evaluated in one call with no visible state: the batched forms below
   // produce bit-for-bit the same decisions as the equivalent loop of
   // `bernoulli` calls, but branch-free (integer threshold compare — see
-  // bernoulli_threshold). They are the hot path of the sharded engine's
+  // bernoulli_threshold). They are the hot path of the engine's
   // send-draw phase and of the randomized jammers' quiet-span replay.
 
   /// The integer threshold T with `draw_double(c,l) < p  <=>  draw(c,l)
@@ -207,10 +207,10 @@ class CounterRng {
 
   /// One coin per (key_i, p_i) at a fixed counter: out[i] =
   /// CounterRng-with-key(keys[i]).bernoulli(counter, ps[i], lane). The
-  /// sharded engine evaluates a whole shard's send decisions for one
-  /// slot with a single call (keys are the packets' coin keys, the
-  /// counter is the slot). The loop is branch-free per element and
-  /// auto-vectorizable; `keys` are raw key() values, not seeds.
+  /// engine evaluates a whole slot's send decisions with a single call
+  /// (keys are the packets' coin keys, the counter is the slot). The loop
+  /// is branch-free per element and auto-vectorizable; `keys` are raw
+  /// key() values, not seeds.
   static void bernoulli_batch(const std::uint64_t* keys, const double* ps, std::size_t n,
                               std::uint64_t counter, std::uint8_t* out,
                               std::uint64_t lane = 0) noexcept;

@@ -1,5 +1,7 @@
 #include "harness/experiment.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 
 #include "core/parse.hpp"
@@ -228,7 +230,7 @@ Args::Args(int argc, char** argv) {
 std::uint64_t Args::u64(const std::string& key, std::uint64_t fallback) const {
   queried_.push_back(key);
   for (const auto& [k, v] : kv_) {
-    if (k == key && !v.empty()) {
+    if (k == key) {
       if (const auto n = parse_u64(v)) return *n;
       throw std::invalid_argument("--" + key + "=" + v + ": expected an unsigned integer");
     }
@@ -239,7 +241,7 @@ std::uint64_t Args::u64(const std::string& key, std::uint64_t fallback) const {
 double Args::f64(const std::string& key, double fallback) const {
   queried_.push_back(key);
   for (const auto& [k, v] : kv_) {
-    if (k == key && !v.empty()) {
+    if (k == key) {
       if (const auto x = parse_f64(v)) return *x;
       throw std::invalid_argument("--" + key + "=" + v + ": expected a finite number");
     }
@@ -278,12 +280,19 @@ std::vector<std::string> Args::unknown_keys(const std::vector<std::string>& know
     }
     return false;
   };
-  for (const auto& [k, v] : kv_) {
+  for (std::size_t i = 0; i < kv_.size(); ++i) {
+    const std::string& k = kv_[i].first;
     bool ok = false;
     for (const auto& g : known) ok |= g == k;
     for (const auto& g : queried_) ok |= g == k;
     const std::string tok = "--" + k;
     if (!ok && !reported(tok)) out.push_back(tok);
+    // A repeated key: whichever value the accessor reads, the other one
+    // would be silently dropped.
+    const bool repeated = std::any_of(kv_.begin(), kv_.begin() + static_cast<std::ptrdiff_t>(i),
+                                      [&k](const auto& kv) { return kv.first == k; });
+    const std::string twice = tok + " (given more than once)";
+    if (repeated && !reported(twice)) out.push_back(twice);
   }
   // Malformed tokens (wrong dash count, bare key=value) are never
   // acceptable, whatever the program's key list.

@@ -74,9 +74,6 @@ struct Scenario {
   /// (e.g. adaptive jammers pinned to the slot engine); the suite's
   /// --engine= override then leaves it alone.
   bool engine_locked = false;
-  /// Same for config.shards: a bench that sweeps shard counts itself
-  /// (bench_t13_shard_scaling) pins them against the --shards= override.
-  bool shards_locked = false;
 };
 
 /// Runs the scenario once with the given seed; optional observers are
@@ -113,16 +110,18 @@ Replicates replicate(const Scenario& scenario, int reps, std::uint64_t base_seed
 /// without a word), so every entry point is expected to validate: either
 /// list the accepted keys up front via `unknown_keys(known)`, or query
 /// all flags first and call `unknown_keys()` — both return the keys the
-/// program does not understand, and callers print usage and exit nonzero
-/// when the list is non-empty. The suite runner does this automatically
-/// for every bench.
+/// program does not understand (and any key given twice, since only one
+/// of its values could take effect), and callers print usage and exit
+/// nonzero when the list is non-empty. The suite runner does this
+/// automatically for every bench.
 class Args {
  public:
   Args(int argc, char** argv);
 
   /// The flag's value through parse_u64 / parse_f64 (core/parse.hpp), or
-  /// `fallback` when absent or empty. A malformed value throws
-  /// std::invalid_argument naming the flag; entry points exit 2 on it.
+  /// `fallback` when absent. An empty (`--seed=`, `--seed`) or malformed
+  /// value throws std::invalid_argument naming the flag; entry points
+  /// exit 2 on it.
   std::uint64_t u64(const std::string& key, std::uint64_t fallback) const;
   double f64(const std::string& key, double fallback) const;
   std::string str(const std::string& key, const std::string& fallback) const;
@@ -133,7 +132,8 @@ class Args {
 
   /// Command-line tokens the program does not understand, ready to print:
   /// "--key" for flags neither in `known` nor ever queried by an accessor,
-  /// plus every malformed token verbatim (single-dash or bare key=value —
+  /// "--key (given more than once)" for a repeated key, plus every
+  /// malformed token verbatim (single-dash or bare key=value —
   /// these never reach the accessors at all). Call with the full
   /// accepted-key list, or with no argument after querying every flag the
   /// program understands.

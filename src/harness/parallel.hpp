@@ -17,7 +17,7 @@
 
 namespace lowsense {
 
-/// Reads a worker-count flag (--threads=, --shards=) and resolves it with
+/// Reads a worker-count flag (--threads=) and resolves it with
 /// ParallelExecutor::resolve_threads (0 = every core). Throws
 /// std::invalid_argument on a malformed value or one above
 /// ParallelExecutor::kMaxThreads.

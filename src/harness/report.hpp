@@ -64,11 +64,11 @@ struct ScenarioResult {
   double elapsed_sec = 0.0;              ///< wall time (0 = untimed)
 
   /// Timing-DERIVED named values (e.g. T12's slot-vs-event slots/s speed
-  /// ratio, T13's shard-scaling speedup). Rendered under "derived" in the
-  /// JSON document, next to slots_per_sec and unlike `metrics`: metric
-  /// medians are bit-identical across runs of the same code and seeds and
-  /// bench_diff.py treats any drift as a behavior change, while derived
-  /// values move with the hardware and are tracked as speeds are.
+  /// ratio). Rendered under "derived" in the JSON document, next to
+  /// slots_per_sec and unlike `metrics`: metric medians are bit-identical
+  /// across runs of the same code and seeds and bench_diff.py treats any
+  /// drift as a behavior change, while derived values move with the
+  /// hardware and are tracked as speeds are.
   std::vector<std::pair<std::string, double>> derived;
 
   /// Simulation speed for the regression tracker; 0 when untimed.

@@ -222,15 +222,6 @@ bool parse_scenario_pack(std::istream& in, const std::string& origin, ScenarioPa
       if (!want_u64(&current->budget)) return false;
     } else if (key == "horizon") {
       if (!want_u64(&current->horizon)) return false;
-    } else if (key == "shards") {
-      std::uint64_t v = 0;
-      if (!want_u64(&v)) return false;
-      if (v == 0 || v > ParallelExecutor::kMaxThreads) {
-        const std::string max = std::to_string(ParallelExecutor::kMaxThreads);
-        *error = where(lineno) + ": shards must be in [1, " + max + "]";
-        return false;
-      }
-      current->shards = static_cast<unsigned>(v);
     } else if (key == "window") {
       if (!want_u64(&current->window)) return false;
     } else if (key == "warmup") {
@@ -303,10 +294,6 @@ Scenario make_pack_scenario(const PackEntry& entry) {
   s.jammer = parse_jammer_spec(entry.jammer, entry.jam_seed);
   s.config.max_active_slots = entry.budget;
   s.config.max_slot = entry.horizon;
-  if (entry.shards != 0) {
-    s.config.shards = entry.shards;
-    s.shards_locked = true;
-  }
   return s;
 }
 
@@ -337,9 +324,9 @@ double PackEntryOutcome::metric(const std::string& name) const {
 }
 
 std::string PackEntryOutcome::manifest_line(const std::string& pack_name) const {
-  // Engine/shard-INVARIANT fields only: regenerating this line under any
-  // engine × shards combination must be byte-identical, so no timing, no
-  // engine name, no contention (FP agrees only to rounding).
+  // Engine-INVARIANT fields only: regenerating this line under either
+  // engine must be byte-identical, so no timing, no engine name, no
+  // contention (FP agrees only to rounding).
   JsonWriter w;
   w.begin_object();
   w.member("schema", "lowsense-pack/v1");

@@ -27,10 +27,9 @@
 // with file:line positions — a pack that parses will run.
 //
 // The `digest` is the TraceDigest of the run (see metrics/trace.hpp):
-// engine- and shard-invariant by the determinism contract, so a pinned
-// digest is a cross-engine, cross-shard golden value. `pack_diff.py` and
-// the CI pack-verify lane diff regenerated manifests against the
-// checked-in ones.
+// engine-invariant by the determinism contract, so a pinned digest is a
+// cross-engine golden value. `pack_diff.py` and the CI pack-verify lane
+// diff regenerated manifests against the checked-in ones.
 #pragma once
 
 #include <cstdint>
@@ -69,7 +68,6 @@ struct PackEntry {
   std::uint64_t seed = 1;       ///< the entry's pinned run seed
   std::uint64_t budget = 0;     ///< max ACTIVE slots (0 = unlimited)
   Slot horizon = 0;             ///< max absolute slot (0 = unlimited)
-  unsigned shards = 0;          ///< >0 pins the shard count (shards_locked)
   Slot window = 0;              ///< steady-state window (0 = no windowing)
   std::uint64_t warmup = 0;     ///< warmup windows discarded by summarize
   std::string digest;           ///< expected TraceDigest hex ("" = unpinned)
@@ -105,10 +103,9 @@ bool load_scenario_pack_ref(const std::string& ref, ScenarioPack* out, std::stri
 const std::vector<std::string>& pack_metric_names();
 
 /// Builds the runnable Scenario for an entry: protocol/arrivals/jammer
-/// factories from the parsed specs, budget/horizon in config, shards
-/// pinned (and locked) when the entry sets them. Engine is the default
-/// and UNLOCKED — packs are engine-invariant by construction, so runners
-/// apply their own --engine/--shards overrides on top.
+/// factories from the parsed specs, budget/horizon in config. Engine is
+/// the default and UNLOCKED — packs are engine-invariant by construction,
+/// so runners apply their own --engine override on top.
 Scenario make_pack_scenario(const PackEntry& entry);
 
 /// Everything one entry's run produced.
@@ -128,21 +125,21 @@ struct PackEntryOutcome {
   /// Value of a pack metric name for this outcome.
   double metric(const std::string& name) const;
   /// One JSONL manifest line ("lowsense-pack/v1"): scenario identity,
-  /// digest, and engine/shard-invariant metrics only — regenerating a
-  /// manifest under any engine × shards combination must be
-  /// byte-identical, which is exactly what pack-verify diffs.
+  /// digest, and engine-invariant metrics only — regenerating a manifest
+  /// under either engine must be byte-identical, which is exactly what
+  /// pack-verify diffs.
   std::string manifest_line(const std::string& pack_name) const;
 };
 
 /// Runs one entry at its pinned seed through `runner` (which applies any
-/// engine/shard overrides and actually executes), with the TraceDigest
+/// engine override and actually executes), with the TraceDigest
 /// and, when windowed, a SteadyStateObserver attached.
 using PackRunner =
     std::function<RunResult(Scenario scenario, std::uint64_t seed, const std::vector<Observer*>&)>;
 PackEntryOutcome run_pack_entry(const PackEntry& entry, const PackRunner& runner);
 
-/// Suite integration: runs every entry via ctx.run_one (so --engine= and
-/// --shards= overrides apply), records a ScenarioResult per entry, and
+/// Suite integration: runs every entry via ctx.run_one (so the --engine=
+/// override applies), records a ScenarioResult per entry, and
 /// turns pinned digests + expectations into ctx.check verdicts. Returns
 /// the outcomes in pack order for manifest writing.
 std::vector<PackEntryOutcome> run_scenario_pack(BenchContext& ctx, const ScenarioPack& pack);

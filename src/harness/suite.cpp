@@ -44,8 +44,8 @@ void print_usage(const BenchDef& def, std::FILE* to) {
   std::fprintf(to, "%s · %s — %s\n\n", def.id.c_str(), def.paper_anchor.c_str(),
                def.claim.c_str());
   std::fprintf(to,
-               "usage: bench [--reps=N] [--seed=S] [--threads=K] [--shards=M]\n"
-               "             [--engine=event|slot] [--jammer=SPEC] [--jam-seed=J]\n"
+               "usage: bench [--reps=N] [--seed=S] [--threads=K] [--engine=event|slot]\n"
+               "             [--jammer=SPEC] [--jam-seed=J]\n"
                "             [--arrivals=SPEC] [--json=PATH] [--pack=FILE[:name]]\n"
                "             [--manifest=PATH] [--list] [--help]\n");
   std::fprintf(to, "defaults: --reps=%d --seed=%llu --threads=1 --engine=event\n", def.default_reps,
@@ -58,10 +58,8 @@ void print_usage(const BenchDef& def, std::FILE* to) {
     }
   }
   std::fprintf(to,
-               "--threads=0 uses every core; serial and parallel output are byte-identical.\n"
-               "--shards=M shards every RUN's packet population over M threads (0 = all\n"
-               "  cores; independent of --threads=, which stays replicate-level). Sharding\n"
-               "  changes wall time, never results: --shards=M output == --shards=1 output.\n"
+               "--threads=K runs replicates on K workers (0 = every core); serial and\n"
+               "  parallel output are byte-identical. Each run itself is serial.\n"
                "--jammer/--arrivals override every scenario's adversary/arrival process:\n"
                "  jammers : none | random:rate[,budget] | burst:period,len | victim:id,budget |\n"
                "            blanket:budget | band:lo,hi,budget |\n"
@@ -105,10 +103,9 @@ BenchParam BenchParam::str(std::string key, std::string dflt, std::string help) 
 
 const std::vector<std::string>& suite_flag_keys() {
   static const std::vector<std::string> kKeys = {"reps",     "seed",     "threads",
-                                                 "shards",   "engine",   "jammer",
-                                                 "jam-seed", "arrivals", "json",
-                                                 "pack",     "manifest", "list",
-                                                 "help"};
+                                                 "engine",   "jammer",   "jam-seed",
+                                                 "arrivals", "json",     "pack",
+                                                 "manifest", "list",     "help"};
   return kKeys;
 }
 
@@ -123,7 +120,6 @@ bool parse_suite_options(const BenchDef& def, const Args& args, SuiteOptions* ou
     out->reps = static_cast<int>(reps);
     out->seed = args.u64("seed", def.default_seed);
     out->threads = thread_count_flag(args, "threads");
-    out->shards = thread_count_flag(args, "shards");
     out->engine = parse_engine(args.str("engine", "event"));
     out->jam_seed = args.u64("jam-seed", 0);
     // The bench's own numeric params, so that a malformed one is a usage
@@ -203,7 +199,6 @@ const std::string& BenchContext::str(const std::string& key) const {
 
 Scenario BenchContext::apply_overrides(Scenario s) const {
   if (!s.engine_locked) s.engine = opts_.engine;
-  if (!s.shards_locked) s.config.shards = opts_.shards;
   if (jammer_override_) s.jammer = jammer_override_;
   if (arrivals_override_) s.arrivals = arrivals_override_;
   return s;
@@ -283,7 +278,6 @@ BenchMeta make_bench_meta(const BenchDef& def, const Args& args, const SuiteOpti
   meta.options = {{"reps", std::to_string(opts.reps)},
                   {"seed", std::to_string(opts.seed)},
                   {"threads", std::to_string(opts.threads)},
-                  {"shards", std::to_string(opts.shards)},
                   {"engine", engine_name(opts.engine)},
                   {"jammer", opts.jammer_spec},
                   {"jam-seed", std::to_string(opts.jam_seed)},
@@ -316,7 +310,7 @@ int run_bench_suite(const BenchDef& def, int argc, char** argv) {
   if (!unknown.empty()) {
     std::string bad;
     for (const auto& k : unknown) bad += " " + k;
-    std::fprintf(stderr, "unknown flag(s):%s\n\n", bad.c_str());
+    std::fprintf(stderr, "unknown or repeated flag(s):%s\n\n", bad.c_str());
     print_usage(def, stderr);
     return 2;
   }

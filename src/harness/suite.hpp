@@ -4,7 +4,7 @@
 // checks — and the suite runner provides everything else uniformly:
 //
 //   * the uniform flag set
-//       --reps= --seed= --threads= --shards= --engine=event|slot
+//       --reps= --seed= --threads= --engine=event|slot
 //       --jammer=SPEC --jam-seed= --arrivals=SPEC --json=PATH
 //       --list --help
 //     plus the declared bench params, with unknown/misspelled flags
@@ -64,7 +64,6 @@ struct SuiteOptions {
   int reps = 5;
   std::uint64_t seed = 1;
   unsigned threads = 1;  ///< resolved worker count (--threads=0 -> all cores)
-  unsigned shards = 1;   ///< intra-run shard count (--shards=0 -> all cores)
   EngineKind engine = EngineKind::kEvent;
   std::string jammer_spec;    ///< empty = keep the bench's own jammers
   std::uint64_t jam_seed = 0;
@@ -72,7 +71,7 @@ struct SuiteOptions {
   std::string json_path;
   /// --pack=FILE[:name]: run the scenario pack INSTEAD of the bench body
   /// (the bench still provides the CLI identity and the uniform flags —
-  /// --engine/--shards overrides apply to every entry). Validated eagerly
+  /// the --engine override applies to every entry). Validated eagerly
   /// at parse time like the jammer/arrival specs.
   std::string pack_ref;
   /// --manifest=PATH with --pack=: write the pack's JSONL manifest.
@@ -106,7 +105,6 @@ class BenchContext {
   int reps() const noexcept { return opts_.reps; }
   std::uint64_t seed() const noexcept { return opts_.seed; }
   unsigned threads() const noexcept { return opts_.threads; }
-  unsigned shards() const noexcept { return opts_.shards; }
   EngineKind engine() const noexcept { return opts_.engine; }
   std::uint64_t jam_seed() const noexcept { return opts_.jam_seed; }
 

@@ -72,8 +72,8 @@ class TraceCapture final : public Observer {
 /// engine-exact observable stream. Two runs produce the same digest iff
 /// they observed the same arrivals, departures, access-bearing slots, and
 /// final integer counters — the quantities the determinism contract makes
-/// a pure function of (scenario, seed), independent of engine, shard
-/// count, and storage reclamation.
+/// a pure function of (scenario, seed), independent of engine, replicate
+/// threads, and storage reclamation.
 ///
 /// What the digest deliberately EXCLUDES keeps it engine-invariant:
 ///  * on_slot events with zero accessors — the slot engine reports every

@@ -7,17 +7,17 @@
 //   * its logical PacketId — the global injection sequence number. It is
 //     unique per logical packet forever (never reused), it keys the
 //     packet's gap stream Rng::stream(seed, id) and its slot-keyed send
-//     coins CounterRng(seed, 2^32 + id) (pure in (seed, id, slot)), it
-//     decides the owning shard (id % S), and it defines the CANONICAL
-//     ascending-id order every cross-packet effect is applied in;
+//     coins CounterRng(seed, 2^32 + id) (pure in (seed, id, slot)), and
+//     it defines the CANONICAL ascending-id order every cross-packet
+//     effect is applied in;
 //
-//   * its slab index — where the record currently lives inside its
-//     shard's PacketStore. Slabs of departed packets are pushed on a
-//     free list and handed to later arrivals, so slab indices are
-//     recycled and carry NO identity: nothing observable (coins, shard
-//     assignment, merge order, observer callbacks) may ever depend on
-//     them. Each slab carries a generation counter, bumped on reuse, so
-//     tests and debug assertions can detect stale handles.
+//   * its slab index — where the record currently lives inside the
+//     PacketStore. Slabs of departed packets are pushed on a free list
+//     and handed to later arrivals, so slab indices are recycled and
+//     carry NO identity: nothing observable (coins, resolve order,
+//     observer callbacks) may ever depend on them. Each slab carries a
+//     generation counter, bumped on reuse, so tests and debug assertions
+//     can detect stale handles.
 //
 // Because every observable quantity is keyed on the logical id and never
 // on the slab, a run with reclamation enabled is bit-identical to the
@@ -115,8 +115,8 @@ class PacketStore {
   Slot& next_access(std::uint32_t slab) noexcept { return next_access_[slab]; }
   Slot next_access(std::uint32_t slab) const noexcept { return next_access_[slab]; }
 
-  /// Slabs ever allocated. With reclamation on this tracks the shard's
-  /// PEAK live population; without it, the shard's share of all arrivals.
+  /// Slabs ever allocated. With reclamation on this tracks the PEAK live
+  /// population; without it, all arrivals.
   std::uint32_t capacity() const noexcept { return static_cast<std::uint32_t>(recs_.size()); }
   std::uint64_t live() const noexcept { return live_; }
   std::uint64_t peak_live() const noexcept { return peak_live_; }

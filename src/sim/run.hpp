@@ -28,10 +28,9 @@ struct RunConfig {
   /// and its slot-keyed send coins from CounterRng(seed, 2^32 + i).
   std::uint64_t seed = 1;
 
-  /// Shards the packet population of THIS run over that many threads
-  /// (1 = serial, 0 = one shard per core). Results are bit-identical for
-  /// every value — sharding changes wall time, never the trace — so it
-  /// composes freely with replicate-level parallelism (--threads=).
+  /// Inert: nothing in src/ reads it, and a run is always serial
+  /// (replicate-level --threads= is the parallel layer). It stays only
+  /// because the perfbench driver still sets it for its 2-shard rerun.
   unsigned shards = 1;
 
   /// Open-system storage: recycle a departed packet's slab so resident
@@ -52,10 +51,10 @@ struct RunResult {
   std::uint64_t peak_backlog = 0;         ///< max packets simultaneously in system
   double max_window_seen = 0.0;           ///< w_max over the whole run
   std::uint64_t jams_total = 0;           ///< jammer's own count (incl. inactive slots)
-  std::uint64_t slab_capacity = 0;        ///< packet slabs ever allocated (Σ over shards):
-                                          ///< ≈ peak live backlog with reclaim, total
-                                          ///< arrivals without — the memory-model witness
-  std::uint64_t slabs_recycled = 0;       ///< slab acquisitions served from the free lists
+  std::uint64_t slab_capacity = 0;        ///< packet slabs ever allocated: ≈ peak live
+                                          ///< backlog with reclaim, total arrivals
+                                          ///< without — the memory-model witness
+  std::uint64_t slabs_recycled = 0;       ///< slab acquisitions served from the free list
   StreamingStats access_stats;   ///< per-packet accesses (all packets, incl. survivors)
   StreamingStats send_stats;     ///< per-packet transmissions
   StreamingStats latency_stats;  ///< departure - arrival (departed packets only)

@@ -1,7 +1,7 @@
 // The simulation core: packet storage, arrival injection, contention
 // bookkeeping, single-slot resolution, and the one run loop that drives
-// them. Accessor lookup is the per-shard AccessWheel, registered at every
-// point a packet's next_access changes.
+// them. Accessor lookup is the AccessWheel, registered at every point a
+// packet's next_access changes.
 //
 // TWO WALKS, ONE LOOP. A packet's state changes only when it accesses the
 // channel (§1.1; see the Protocol contract), so its per-slot access
@@ -21,36 +21,33 @@
 // Both walks skip inactive stretches (backlog 0) to the next arrival for
 // free, share the budget checks (RunConfig::max_slot, max_active_slots)
 // and the exit of a backlog that can never access again, and pop the
-// same wheels in the same canonical order — so they cannot disagree on
+// same wheel in the same canonical order — so they cannot disagree on
 // WHO accesses a slot, only on how they walk time between accesses, and
 // their traces are bit-identical on every jammer family (see
-// tests/sim_equivalence_test.cpp). config.shards > 1 parallelizes the
-// heavy slots identically under either walk.
+// tests/sim_equivalence_test.cpp).
 //
-// OPEN-SYSTEM STORAGE. Packets live in per-shard PacketStores (slab/SoA
-// layout, see packet_store.hpp). Arrivals stream in from the pull-based
+// OPEN-SYSTEM STORAGE. Packets live in one PacketStore (slab/SoA layout,
+// see packet_store.hpp). Arrivals stream in from the pull-based
 // ArrivalProcess as the run advances — nothing is materialized up front —
 // and with config.reclaim (the default) a departed packet's slab returns
-// to its shard's free list at the end of the slot it departed in, so
-// resident memory is proportional to the live backlog even on unbounded
-// arrival streams. Identity is the logical PacketId (injection sequence
-// number, never reused): it keys the gap stream and the slot-keyed send
-// coins, decides the owning shard (id % S), and defines the canonical
-// order below, so reclamation cannot change any observable result.
+// to the free list at the end of the slot it departed in, so resident
+// memory is proportional to the live backlog even on unbounded arrival
+// streams. Identity is the logical PacketId (injection sequence number,
+// never reused): it keys the gap stream and the slot-keyed send coins
+// and defines the canonical order below, so reclamation cannot change
+// any observable result.
 //
-// SHARDING. A run with config.shards = S splits the packet population
-// over S PacketShards (packet id -> shard id % S) and resolves each slot
-// in three phases:
+// ONE SLOT. A run is serial — the channel of §1.1 is one sequence of
+// slots; replicate-level --threads= is the parallel layer — and
+// resolve_slot handles one slot in three phases:
 //
-//   1. send-draw   — parallel per shard: sort the shard's bucket by
-//                    logical id, batch-evaluate the slot-keyed send
-//                    coins, tally accesses.
-//   2. arbitration — serial: merge senders in ascending-id order, consult
-//                    the jammer, decide the outcome, depart the winner.
-//   3. feedback    — parallel per shard: deliver the observation, redraw
-//                    each accessor's gap, re-register it in the shard's
-//                    wheel; then a serial shard-merge applies contention
-//                    deltas and fires observers in ascending-id order.
+//   1. send-draw   — sort the wheel bucket by logical id, evaluate the
+//                    slot-keyed send coins in one batch, tally accesses.
+//   2. arbitration — consult the jammer with the ascending-id sender
+//                    list, decide the outcome, depart the winner.
+//   3. feedback    — in ascending id: deliver the observation, redraw the
+//                    gap, re-register the packet in the wheel, apply its
+//                    contention delta and fire on_window_change.
 //
 // Determinism invariant: every cross-packet effect (the sender list, the
 // floating-point contention accumulation, observer callbacks, the
@@ -60,23 +57,23 @@
 // finish) — and every per-packet random draw comes either from the
 // packet's own stream (gaps) or from a slot-keyed coin (sends), both
 // keyed on the logical id. So the results of a run are a pure function
-// of (scenario, seed), independent of the shard count, the engine, slab
-// placement, and reclamation: --shards=S is bit-identical to --shards=1,
-// and reclaim on is bit-identical to reclaim off.
+// of (scenario, seed), independent of the engine, slab placement, and
+// reclamation: reclaim on is bit-identical to reclaim off.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammer.hpp"
-#include "core/executor.hpp"
 #include "core/rng.hpp"
 #include "core/types.hpp"
 #include "protocols/protocol.hpp"
+#include "sim/access_wheel.hpp"
 #include "sim/observer.hpp"
-#include "sim/packet_shard.hpp"
+#include "sim/packet_store.hpp"
 #include "sim/run.hpp"
 
 namespace lowsense::detail {
@@ -96,13 +93,13 @@ class SimCore {
   /// Slot of the next pending arrival burst (kNoSlot when exhausted).
   Slot next_arrival_slot();
   /// Injects every pending burst with slot == t, registering each new
-  /// packet's first access in its shard's wheel.
+  /// packet's first access in the wheel.
   void inject_arrivals_at(Slot t);
 
   // --- slot resolution --------------------------------------------------
-  /// Resolves one ACTIVE slot: pops every shard's wheel bucket for t
-  /// (advancing the cursors) and runs the three phases above. Increments
-  /// active_slots. run() calls this with non-decreasing t.
+  /// Resolves one ACTIVE slot: pops the wheel bucket for t (advancing the
+  /// cursor) and runs the three phases above. Increments active_slots.
+  /// run() calls this with non-decreasing t.
   void resolve_slot(Slot t);
 
   /// Accounts a maximal access-free active span [lo, hi] (event walk).
@@ -114,74 +111,56 @@ class SimCore {
   SystemView view() const noexcept;
   bool arrivals_exhausted() const noexcept { return arrivals_done_ && !pending_; }
 
-  /// Smallest slot with a scheduled access across all shards (kNoSlot
-  /// when none). The event walk's next-event query.
-  Slot next_access_slot() const noexcept;
+  /// Smallest slot with a scheduled access (kNoSlot when none). The event
+  /// walk's next-event query.
+  Slot next_access_slot() const noexcept { return wheel_.next_scheduled(); }
 
   /// True iff no active packet will ever access the channel again.
-  bool no_future_access() const noexcept;
+  bool no_future_access() const noexcept { return wheel_.empty(); }
 
-  /// Recomputes contention from the live records of every shard's store;
-  /// tests compare it against the incrementally maintained value to bound
+  /// Recomputes contention from the store's live records; tests compare
+  /// it against the incrementally maintained value to bound
   /// floating-point drift.
   double recompute_contention() const;
 
   void finish(RunResult* result);
 
-  /// Below this many accessors in a slot the phases run inline on the
-  /// calling thread (in the same canonical order, so results do not
-  /// change): a fork-join costs microseconds, which only pays off on the
-  /// heavy buckets of the high-contention phase of a big run.
+  /// The accessor count from which perfbench's traced profile calls a
+  /// slot "heavy". Nothing in src/ reads it; it stays until the
+  /// benchmark drops its heavy/light split.
   static constexpr std::size_t kParallelMinAccessors = 128;
 
  private:
-  /// The two parallel phases, as a tag so the fork path can submit a
-  /// 16-byte (small-object-optimized) closure instead of heap-allocating
-  /// a std::function per shard per fork — the resolve forks twice per
-  /// heavy slot. Phase inputs (slot, feedback) travel in phase_slot_ /
-  /// phase_fb_, written by the serial code before the fork.
-  enum class Phase : std::uint32_t { kSendDraws, kFeedback };
-
   /// True once slot t lies past config.max_slot or the active-slot
   /// budget is spent.
   bool over_budget(Slot t) const noexcept;
 
-  void depart(Slot t, std::size_t shard_idx, std::uint32_t slab);
-  void resolve_phases(Slot t);
-  void run_phase(Phase phase, PacketShard& shard);
-  void phase_send_draws(Slot t, PacketShard& shard);
-  void phase_feedback(Slot t, Feedback fb, PacketShard& shard);
-  /// The live (in-system) records of every shard, in ascending logical id.
+  void depart(Slot t, std::uint32_t slab);
+  /// Phase 1: canonicalizes accessors_ and draws the send coins; returns
+  /// the slab of the lowest-id sender (unspecified when nobody sent).
+  std::uint32_t phase_send_draws(Slot t);
+  void phase_feedback(Slot t, Feedback fb);
+  /// The live (in-system) records, in ascending logical id.
   std::vector<const Packet*> live_packets() const;
-  /// Runs the phase over every shard: on the pool when the slot is heavy
-  /// enough, inline (in shard order) otherwise — same code path, same
-  /// canonical results either way.
-  void run_sharded(std::size_t total_accessors, Phase phase);
-  /// Visits accessor-aligned entries of all shards in canonical
-  /// ascending-LOGICAL-id order (the one merge both serial phases use).
-  /// `list_of(shard)` selects the per-shard sorted id list.
-  template <typename GetList, typename Fn>
-  void for_each_in_id_order(GetList&& list_of, Fn&& fn);
 
   const ProtocolFactory& factory_;
   ArrivalProcess& arrivals_;
   Jammer& jammer_;
   RunConfig config_;
 
-  std::vector<PacketShard> shards_;
-  std::optional<ParallelExecutor> pool_;  ///< persistent; shards > 1 only
-  PacketId next_id_ = 0;                  ///< logical ids handed out so far
-  std::vector<PacketId> scratch_sender_pids_;
-  std::vector<std::uint32_t> scratch_sender_slabs_;  ///< aligned with pids
-  std::vector<std::size_t> scratch_pos_;  ///< per-shard merge cursors
+  PacketStore store_;
+  AccessWheel wheel_;
+  PacketId next_id_ = 0;  ///< logical ids handed out so far
   std::optional<ArrivalBurst> pending_;
   bool arrivals_done_ = false;
-  /// The slot winner's slab, released (if config_.reclaim) only after
-  /// phase 3 and the observers are done with the record.
-  std::optional<std::pair<std::size_t, std::uint32_t>> reclaim_pending_;
 
-  Slot phase_slot_ = 0;                    ///< inputs of the forked phases,
-  Feedback phase_fb_ = Feedback::kEmpty;   ///< set serially before each fork
+  // Per-slot scratch of resolve_slot, reused across slots.
+  std::vector<std::uint32_t> accessors_;  ///< slab handles, sorted by logical id
+  std::vector<std::pair<PacketId, std::uint32_t>> sort_tmp_;  ///< canonicalize scratch
+  std::vector<PacketId> sender_ids_;      ///< transmitting subset, ascending id
+  std::vector<std::uint64_t> coin_keys_;  ///< batched send-draw inputs
+  std::vector<double> coin_ps_;
+  std::vector<std::uint8_t> coin_out_;
 
   Counters counters_;
   std::vector<Observer*> observers_;

@@ -1,7 +1,8 @@
 // Fixture: a stream-based Rng draw inside the phase-1 send-draw section.
-// Phase 1 runs in parallel per shard; a stream draw's value depends on
-// how many draws preceded it on that stream, i.e. on scheduling — only
-// slot-keyed CounterRng coins (pure in (key, slot)) are legal here.
+// A send decision must be pure in (packet, slot); a stream draw's value
+// depends on how many draws preceded it on that stream, i.e. on call
+// order — only slot-keyed CounterRng coins (pure in (key, slot)) are
+// legal here.
 // expect-lint: stream-rng-in-send-phase
 #include <cstdint>
 

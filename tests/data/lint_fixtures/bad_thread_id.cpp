@@ -1,5 +1,5 @@
-// Fixture: logic keyed on worker identity. Which worker runs a shard
-// phase is a scheduling accident; keying anything observable on it makes
+// Fixture: logic keyed on worker identity. Which worker runs a replicate
+// task is a scheduling accident; keying anything observable on it makes
 // the trace depend on the OS scheduler.
 // expect-lint: thread-id
 #include <functional>

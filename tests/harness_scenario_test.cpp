@@ -1,7 +1,7 @@
 // Scenario-pack DSL tests: parse round-trip, eager malformed-spec
 // rejection with origin:line positions (same exit-2 policy PR 3 set for
 // --jammer= specs, here exercised through parse_suite_options), digest
-// stability across engine x shards, and the checked-in golden fixture
+// stability across engines, and the checked-in golden fixture
 // under tests/data/.
 #include <gtest/gtest.h>
 
@@ -53,7 +53,6 @@ TEST(ScenarioPackParse, RoundTripsEveryKey) {
       "seed     = 42\n"
       "budget   = 9000\n"
       "horizon  = 20000\n"
-      "shards   = 2\n"
       "window   = 2000\n"
       "warmup   = 2\n"
       "digest   = 0123456789abcdef\n"
@@ -78,7 +77,6 @@ TEST(ScenarioPackParse, RoundTripsEveryKey) {
   EXPECT_EQ(e.seed, 42u);
   EXPECT_EQ(e.budget, 9000u);
   EXPECT_EQ(e.horizon, 20000u);
-  EXPECT_EQ(e.shards, 2u);
   EXPECT_EQ(e.window, 2000u);
   EXPECT_EQ(e.warmup, 2u);
   EXPECT_EQ(e.digest, "0123456789abcdef");
@@ -98,44 +96,27 @@ TEST(ScenarioPackParse, RoundTripsEveryKey) {
   EXPECT_EQ(e2.jam_seed, 0u);
   EXPECT_EQ(e2.seed, 1u);
   EXPECT_EQ(e2.horizon, 0u);
-  EXPECT_EQ(e2.shards, 0u);
   EXPECT_EQ(e2.window, 0u);
   EXPECT_TRUE(e2.digest.empty());
   EXPECT_TRUE(e2.expects.empty());
 
   EXPECT_EQ(pack.find("second"), &pack.entries[1]);
   EXPECT_EQ(pack.find("nope"), nullptr);
-}
-
-TEST(ScenarioPackParse, PinnedShardsLockTheScenario) {
-  const ScenarioPack pack = parse_ok(
-      "[pinned]\n"
-      "protocol = lsb\n"
-      "arrivals = batch:8\n"
-      "shards   = 3\n"
-      "budget   = 100\n"
-      "\n"
-      "[free]\n"
-      "protocol = lsb\n"
-      "arrivals = batch:8\n"
-      "budget   = 100\n");
-  const Scenario pinned = make_pack_scenario(pack.entries[0]);
-  EXPECT_TRUE(pinned.shards_locked);
-  EXPECT_EQ(pinned.config.shards, 3u);
-  EXPECT_FALSE(pinned.engine_locked);  // packs are engine-invariant
-  const Scenario free_entry = make_pack_scenario(pack.entries[1]);
-  EXPECT_FALSE(free_entry.shards_locked);
+  EXPECT_FALSE(make_pack_scenario(e).engine_locked);  // packs are engine-invariant
 }
 
 // ------------------------------------------------- eager rejection lanes
 
 TEST(ScenarioPackReject, UnknownKeyCarriesOriginAndLine) {
-  const std::string err = parse_error(
-      "[a]\n"
-      "protocol = lsb\n"
-      "bogus    = 1\n");
-  EXPECT_NE(err.find("test.pack:3"), std::string::npos) << err;
-  EXPECT_NE(err.find("unknown key 'bogus'"), std::string::npos) << err;
+  // `shards` pinned an intra-run shard count; a run is serial now.
+  for (const std::string key : {"bogus", "shards"}) {
+    const std::string err = parse_error(
+        "[a]\n"
+        "protocol = lsb\n" +
+        key + " = 1\n");
+    EXPECT_NE(err.find("test.pack:3"), std::string::npos) << err;
+    EXPECT_NE(err.find("unknown key '" + key + "'"), std::string::npos) << err;
+  }
 }
 
 TEST(ScenarioPackReject, UnknownProtocol) {
@@ -287,7 +268,7 @@ TEST(ScenarioPackReject, SuiteOptionsRejectBadPackRefEagerly) {
 
 // ---------------------------------------------- digest engine invariance
 
-TEST(ScenarioPackDigest, StableAcrossEngineAndShardGrid) {
+TEST(ScenarioPackDigest, StableAcrossEngines) {
   const ScenarioPack pack = parse_ok(
       "[probe]\n"
       "protocol = low-sensing\n"
@@ -303,26 +284,21 @@ TEST(ScenarioPackDigest, StableAcrossEngineAndShardGrid) {
   std::vector<std::string> digests;
   std::vector<std::string> manifests;
   for (const EngineKind engine : {EngineKind::kSlot, EngineKind::kEvent}) {
-    for (const unsigned shards : {1u, 4u}) {
-      const PackEntryOutcome out = run_pack_entry(
-          entry, [&](Scenario sc, std::uint64_t seed, const std::vector<Observer*>& obs) {
-            if (!sc.engine_locked) sc.engine = engine;
-            if (!sc.shards_locked) sc.config.shards = shards;
-            return run_scenario(sc, seed, obs);
-          });
-      EXPECT_GT(out.digest_events, 0u);
-      EXPECT_TRUE(out.has_steady);
-      digests.push_back(out.digest);
-      manifests.push_back(out.manifest_line("grid"));
-    }
+    const PackEntryOutcome out = run_pack_entry(
+        entry, [&](Scenario sc, std::uint64_t seed, const std::vector<Observer*>& obs) {
+          if (!sc.engine_locked) sc.engine = engine;
+          return run_scenario(sc, seed, obs);
+        });
+    EXPECT_GT(out.digest_events, 0u);
+    EXPECT_TRUE(out.has_steady);
+    digests.push_back(out.digest);
+    manifests.push_back(out.manifest_line("grid"));
   }
-  ASSERT_EQ(digests.size(), 4u);
-  for (std::size_t i = 1; i < digests.size(); ++i) {
-    EXPECT_EQ(digests[i], digests[0]) << "combination " << i << " drifted";
-    // Manifest lines carry only engine/shard-invariant fields, so they
-    // must match byte for byte — the same property pack-verify CIs.
-    EXPECT_EQ(manifests[i], manifests[0]) << "combination " << i << " drifted";
-  }
+  ASSERT_EQ(digests.size(), 2u);
+  EXPECT_EQ(digests[1], digests[0]) << "event digest drifted from slot";
+  // Manifest lines carry only engine-invariant fields, so they must match
+  // byte for byte — the same property pack-verify CIs.
+  EXPECT_EQ(manifests[1], manifests[0]) << "event manifest drifted from slot";
 }
 
 // ------------------------------------------------------- golden fixture

@@ -40,18 +40,32 @@ TEST(NumberParse, DoubleMustBeWholeAndFinite) {
 }
 
 TEST(ArgsNumbers, MalformedValuesThrowInsteadOfTruncating) {
+  // An empty value (`--jam-seed=`, a bare `--horizon`) is malformed too:
+  // falling back to the default would run what the caller did not ask for.
   const Args args = make_args({"--seed=1e6", "--reps=abc", "--max-active-slots=5e3",
                                "--threads=-1", "--rate=0.2x", "--lambda=nan", "--n=42",
-                               "--p=0.5"});
-  for (const char* key : {"seed", "reps", "max-active-slots", "threads"}) {
+                               "--p=0.5", "--jam-seed=", "--horizon", "--alpha=", "--beta"});
+  for (const char* key : {"seed", "reps", "max-active-slots", "threads", "jam-seed", "horizon"}) {
     EXPECT_THROW(args.u64(key, 1), std::invalid_argument) << key;
   }
-  for (const char* key : {"rate", "lambda"}) {
+  for (const char* key : {"rate", "lambda", "alpha", "beta"}) {
     EXPECT_THROW(args.f64(key, 1.0), std::invalid_argument) << key;
   }
   EXPECT_EQ(args.u64("n", 1), 42u);
   EXPECT_EQ(args.f64("p", 1.0), 0.5);
   EXPECT_EQ(args.u64("absent", 7), 7u);
+}
+
+TEST(ArgsRepeats, KeyGivenTwiceIsReported) {
+  // Whichever value an accessor reads, the other is silently dropped — so
+  // a repeated key is a usage error, malformed second value or not.
+  const Args args = make_args({"--arrivals=batch:10", "--arrivals=batch:10abc", "--reps=1",
+                               "--reps=abc", "--reps=2", "--seed=3"});
+  (void)args.str("arrivals", "");
+  (void)args.u64("seed", 1);
+  EXPECT_EQ(args.unknown_keys({"reps"}),
+            (std::vector<std::string>{"--arrivals (given more than once)",
+                                      "--reps (given more than once)"}));
 }
 
 TEST(ProtocolSpec, AlohaProbabilityIsTheWholeField) {

@@ -84,26 +84,15 @@ TEST(SuiteOptionsTest, ThreadsZeroMeansAllCores) {
   EXPECT_EQ(opts.threads, ParallelExecutor::default_threads());
 }
 
-TEST(SuiteOptionsTest, ShardsFlagRoundTripsAndZeroMeansAllCores) {
-  SuiteOptions opts;
-  std::string error;
-  ASSERT_TRUE(parse_suite_options(mini_def(), make_args({}), &opts, &error));
-  EXPECT_EQ(opts.shards, 1u);  // default: serial runs
-  ASSERT_TRUE(parse_suite_options(mini_def(), make_args({"--shards=4"}), &opts, &error));
-  EXPECT_EQ(opts.shards, 4u);
-  ASSERT_TRUE(parse_suite_options(mini_def(), make_args({"--shards=0"}), &opts, &error));
-  EXPECT_EQ(opts.shards, ParallelExecutor::default_threads());
-}
-
-TEST(SuiteRunnerTest, ShardedStdoutIsByteIdenticalToSerial) {
-  // The whole point of --shards=: results (and therefore the TextSink
-  // stream) must not depend on it. Run the mini bench serial and sharded
-  // and diff the captured stdout byte for byte.
+TEST(SuiteRunnerTest, ThreadedStdoutIsByteIdenticalToSerial) {
+  // Results (and therefore the TextSink stream) must not depend on the
+  // replicate thread count. Run the mini bench serial and threaded and
+  // diff the captured stdout byte for byte.
   std::string outs[2];
   int i = 0;
-  for (const char* shards_flag : {"--shards=1", "--shards=3"}) {
+  for (const char* threads_flag : {"--threads=1", "--threads=3"}) {
     BenchDef def = mini_def();
-    std::vector<const char*> argv{"prog", "--n=300", "--reps=2", shards_flag};
+    std::vector<const char*> argv{"prog", "--n=300", "--reps=2", threads_flag};
     ::testing::internal::CaptureStdout();
     EXPECT_EQ(run_bench_suite(def, static_cast<int>(argv.size()),
                               const_cast<char**>(argv.data())),
@@ -137,7 +126,7 @@ TEST(SuiteOptionsTest, BadValuesAreRejectedEagerly) {
   // Worker counts: a sign would wrap to 2^64-1 and ask for ~4e9 threads,
   // and anything past the ceiling is refused before a pool exists.
   // Parsing alone starts no thread.
-  for (const char* bad : {"--threads=-1", "--shards=-1", "--threads=4097", "--shards=4294967296"}) {
+  for (const char* bad : {"--threads=-1", "--threads=4097", "--threads=4294967296"}) {
     error.clear();
     EXPECT_FALSE(parse_suite_options(mini_def(), make_args({bad}), &opts, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
@@ -147,12 +136,19 @@ TEST(SuiteOptionsTest, BadValuesAreRejectedEagerly) {
 }
 
 TEST(SuiteRunnerTest, UnknownFlagExitsNonzeroWithoutRunningTheBody) {
-  bool ran = false;
-  BenchDef def = mini_def();
-  def.body = [&ran](BenchContext&) { ran = true; };
-  std::vector<const char*> argv{"prog", "--thread=8"};  // the classic typo
-  EXPECT_EQ(run_bench_suite(def, 2, const_cast<char**>(argv.data())), 2);
-  EXPECT_FALSE(ran);
+  // The classic typo, the retired intra-run --shards= (a run is serial),
+  // and a repeated flag.
+  for (std::vector<const char*> argv : {std::vector<const char*>{"prog", "--thread=8"},
+                                        std::vector<const char*>{"prog", "--shards=2"},
+                                        std::vector<const char*>{"prog", "--seed=1", "--seed=2"}}) {
+    bool ran = false;
+    BenchDef def = mini_def();
+    def.body = [&ran](BenchContext&) { ran = true; };
+    EXPECT_EQ(run_bench_suite(def, static_cast<int>(argv.size()), const_cast<char**>(argv.data())),
+              2)
+        << argv[1];
+    EXPECT_FALSE(ran) << argv[1];
+  }
 }
 
 TEST(SuiteRunnerTest, ListPrintsDeclarationAndSkipsTheBody) {
@@ -353,7 +349,8 @@ TEST(BenchContextTest, DeclaredParamsResolveWithOverridesAndDefaults) {
 
 TEST(ArgsUnknownKeys, FlagsNeitherKnownNorQueriedAreReported) {
   const Args args = make_args({"--n=1", "--thread=8", "--n=2"});
-  EXPECT_EQ(args.unknown_keys({"n"}), std::vector<std::string>{"--thread"});
+  EXPECT_EQ(args.unknown_keys({"n"}),
+            (std::vector<std::string>{"--thread", "--n (given more than once)"}));
 }
 
 TEST(ArgsUnknownKeys, QueryingMarksAKeyKnown) {

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
-#include <type_traits>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammer.hpp"
@@ -12,9 +12,15 @@
 #include "protocols/low_sensing.hpp"
 #include "protocols/mw_full_sensing.hpp"
 #include "sim/event_engine.hpp"
-#include "sim/slot_engine.hpp"
+#include "sim/sim_core.hpp"
 
 namespace lowsense {
+
+// Readable parameter dumps and test names ("/slot", "# GetParam() = slot").
+void PrintTo(EngineKind walk, std::ostream* os) {
+  *os << (walk == EngineKind::kSlot ? "slot" : "event");
+}
+
 namespace {
 
 RunConfig config_with_seed(std::uint64_t seed) {
@@ -23,36 +29,34 @@ RunConfig config_with_seed(std::uint64_t seed) {
   return c;
 }
 
-template <typename Engine>
-RunResult run_batch(std::uint64_t n, std::uint64_t seed, Jammer* jammer = nullptr,
-                    RunConfig cfg = {}) {
+RunResult run_walk(EngineKind walk, const ProtocolFactory& factory, ArrivalProcess& arrivals,
+                   Jammer& jammer, const RunConfig& cfg) {
+  detail::SimCore core(factory, arrivals, jammer, cfg);
+  return core.run(walk);
+}
+
+RunResult run_batch(EngineKind walk, std::uint64_t n, std::uint64_t seed, RunConfig cfg = {}) {
   LowSensingFactory factory;
   BatchArrivals arrivals(n);
   NoJammer none;
   cfg.seed = seed;
-  Engine engine(factory, arrivals, jammer ? *jammer : static_cast<Jammer&>(none), cfg);
-  return engine.run();
+  return run_walk(walk, factory, arrivals, none, cfg);
 }
 
-// The walk-independent behaviours run on both engines.
-template <typename Engine>
-class BothEngines : public ::testing::Test {};
+// The walk-independent behaviours run on both walks of SimCore::run.
+class BothEngines : public ::testing::TestWithParam<EngineKind> {};
 
-struct EngineNames {
-  template <typename Engine>
-  static std::string GetName(int) {
-    return std::is_same_v<Engine, EventEngine> ? "EventEngine" : "SlotEngine";
-  }
-};
-
-using Engines = ::testing::Types<EventEngine, SlotEngine>;
-TYPED_TEST_SUITE(BothEngines, Engines, EngineNames);
+INSTANTIATE_TEST_SUITE_P(Walks, BothEngines,
+                         ::testing::Values(EngineKind::kEvent, EngineKind::kSlot),
+                         [](const ::testing::TestParamInfo<EngineKind>& info) {
+                           return ::testing::PrintToString(info.param);
+                         });
 
 // ------------------------------------------------------- single packet
 
-TYPED_TEST(BothEngines, SinglePacketSucceedsImmediatelyFirstSend) {
+TEST_P(BothEngines, SinglePacketSucceedsImmediatelyFirstSend) {
   // Alone on the channel, the first transmission must succeed.
-  const RunResult r = run_batch<TypeParam>(1, 3);
+  const RunResult r = run_batch(GetParam(), 1, 3);
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.counters.successes, 1u);
   EXPECT_EQ(r.counters.arrivals, 1u);
@@ -66,7 +70,7 @@ TEST(EventEngine, SinglePacketLatencyMatchesGeometricScale) {
   // average should be modest.
   double total = 0.0;
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    const RunResult r = run_batch<EventEngine>(1, seed);
+    const RunResult r = run_batch(EngineKind::kEvent, 1, seed);
     total += r.latency_stats.mean();
   }
   EXPECT_LT(total / 50.0, 100.0);
@@ -76,7 +80,7 @@ TEST(EventEngine, SinglePacketLatencyMatchesGeometricScale) {
 // ----------------------------------------------------------- batch runs
 
 TEST(EventEngine, BatchDrainsAndConservesPackets) {
-  const RunResult r = run_batch<EventEngine>(200, 11);
+  const RunResult r = run_batch(EngineKind::kEvent, 200, 11);
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.counters.arrivals, 200u);
   EXPECT_EQ(r.counters.successes, 200u);
@@ -87,20 +91,20 @@ TEST(EventEngine, BatchDrainsAndConservesPackets) {
 
 TEST(EventEngine, ActiveSlotsAtLeastN) {
   // Each success occupies one slot, so S >= N always.
-  const RunResult r = run_batch<EventEngine>(300, 12);
+  const RunResult r = run_batch(EngineKind::kEvent, 300, 12);
   EXPECT_GE(r.counters.active_slots, 300u);
 }
 
 TEST(EventEngine, EverySuccessIsOneSend) {
   // Total sends >= total successes; each packet sends at least once.
-  const RunResult r = run_batch<EventEngine>(100, 13);
+  const RunResult r = run_batch(EngineKind::kEvent, 100, 13);
   EXPECT_GE(r.send_stats.sum(), 100.0);
   EXPECT_GE(r.send_stats.min(), 1.0);
 }
 
 TEST(EventEngine, DeterministicAcrossReruns) {
-  const RunResult a = run_batch<EventEngine>(128, 77);
-  const RunResult b = run_batch<EventEngine>(128, 77);
+  const RunResult a = run_batch(EngineKind::kEvent, 128, 77);
+  const RunResult b = run_batch(EngineKind::kEvent, 128, 77);
   EXPECT_EQ(a.counters.active_slots, b.counters.active_slots);
   EXPECT_EQ(a.counters.successes, b.counters.successes);
   EXPECT_EQ(a.max_accesses, b.max_accesses);
@@ -108,40 +112,39 @@ TEST(EventEngine, DeterministicAcrossReruns) {
 }
 
 TEST(EventEngine, DifferentSeedsDiffer) {
-  const RunResult a = run_batch<EventEngine>(128, 1);
-  const RunResult b = run_batch<EventEngine>(128, 2);
+  const RunResult a = run_batch(EngineKind::kEvent, 128, 1);
+  const RunResult b = run_batch(EngineKind::kEvent, 128, 2);
   EXPECT_NE(a.counters.active_slots, b.counters.active_slots);
 }
 
 // --------------------------------------------------------------- budgets
 
-TYPED_TEST(BothEngines, MaxActiveSlotBudgetStopsRun) {
+TEST_P(BothEngines, MaxActiveSlotBudgetStopsRun) {
   RunConfig cfg;
   cfg.max_active_slots = 50;
-  const RunResult r = run_batch<TypeParam>(1000, 5, nullptr, cfg);
+  const RunResult r = run_batch(GetParam(), 1000, 5, cfg);
   EXPECT_FALSE(r.drained);
   EXPECT_LE(r.counters.active_slots, 50u);
   EXPECT_GT(r.counters.backlog, 0u);
 }
 
-TYPED_TEST(BothEngines, MaxSlotBudgetStopsRun) {
+TEST_P(BothEngines, MaxSlotBudgetStopsRun) {
   RunConfig cfg;
   cfg.max_slot = 100;
-  const RunResult r = run_batch<TypeParam>(1000, 5, nullptr, cfg);
+  const RunResult r = run_batch(GetParam(), 1000, 5, cfg);
   EXPECT_FALSE(r.drained);
   EXPECT_LE(r.counters.slot, 100u);
 }
 
 // -------------------------------------------------------------- arrivals
 
-TYPED_TEST(BothEngines, InactiveGapsAreNotCounted) {
+TEST_P(BothEngines, InactiveGapsAreNotCounted) {
   // Two lone packets far apart: the dead time between them must not count
   // as active slots.
   LowSensingFactory factory;
   ScheduleArrivals arrivals({{0, 1}, {1000000, 1}});
   NoJammer none;
-  TypeParam engine(factory, arrivals, none, config_with_seed(9));
-  const RunResult r = engine.run();
+  const RunResult r = run_walk(GetParam(), factory, arrivals, none, config_with_seed(9));
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.counters.successes, 2u);
   EXPECT_LT(r.counters.active_slots, 10000u);
@@ -159,14 +162,13 @@ TEST(EventEngine, PoissonStreamDrains) {
 
 // --------------------------------------------------------------- jamming
 
-TYPED_TEST(BothEngines, FullJammingPreventsAllProgress) {
+TEST_P(BothEngines, FullJammingPreventsAllProgress) {
   LowSensingFactory factory;
   BatchArrivals arrivals(10);
   RandomJammer jammer(1.0, 0, CounterRng(1));
   RunConfig cfg = config_with_seed(4);
   cfg.max_active_slots = 2000;
-  TypeParam engine(factory, arrivals, jammer, cfg);
-  const RunResult r = engine.run();
+  const RunResult r = run_walk(GetParam(), factory, arrivals, jammer, cfg);
   EXPECT_EQ(r.counters.successes, 0u);
   EXPECT_EQ(r.counters.backlog, 10u);
   // Every active slot was jammed.
@@ -230,7 +232,7 @@ TEST(EventEngine, FixedProbabilityGenieDrains) {
   EXPECT_EQ(r.counters.successes, 64u);
 }
 
-TYPED_TEST(BothEngines, ZeroAccessProbabilityTerminates) {
+TEST_P(BothEngines, ZeroAccessProbabilityTerminates) {
   // A protocol that never accesses must not hang the engine: a backlog
   // with no scheduled access and no arrival to come stops the run right
   // after its arrival slot, long before the max_slot budget.
@@ -239,8 +241,7 @@ TYPED_TEST(BothEngines, ZeroAccessProbabilityTerminates) {
   NoJammer none;
   RunConfig cfg = config_with_seed(16);
   cfg.max_slot = 10000;
-  TypeParam engine(factory, arrivals, none, cfg);
-  const RunResult r = engine.run();
+  const RunResult r = run_walk(GetParam(), factory, arrivals, none, cfg);
   EXPECT_FALSE(r.drained);
   EXPECT_EQ(r.counters.successes, 0u);
   EXPECT_EQ(r.counters.active_slots, 1u);

@@ -108,6 +108,9 @@ std::unique_ptr<Jammer> make_jammer(JamKind kind, std::uint64_t key) {
 
 std::unique_ptr<ArrivalProcess> make_arrivals(const std::string& kind) {
   if (kind == "batch") return std::make_unique<BatchArrivals>(120);
+  // "heavy": thousands of accessors in the first slots, far past the
+  // 128-accessor buckets perfbench calls heavy.
+  if (kind == "heavy") return std::make_unique<BatchArrivals>(2048);
   if (kind == "trickle") {
     std::vector<ArrivalBurst> bursts;
     for (Slot t = 0; t < 600; t += 13) bursts.push_back({t, 2});
@@ -164,6 +167,10 @@ std::vector<Case> all_cases() {
       }
     }
   }
+  // Heavy buckets: sort, batched coins and feedback over big slots.
+  cases.push_back({"low-sensing", "heavy", JamKind::kNone, 3});
+  cases.push_back({"low-sensing", "heavy", JamKind::kRandom, 3});
+  cases.push_back({"binary-exponential", "heavy", JamKind::kRandom, 29});
   return cases;
 }
 

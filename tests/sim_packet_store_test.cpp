@@ -1,8 +1,8 @@
 // Open-system storage correctness: PacketStore slab/free-list unit checks
 // and the load-bearing recycling guarantee — a recycled slab carries NO
 // identity, so reclamation (config.reclaim) never moves a bit. Seeded
-// fuzz diffs open vs. closed storage across engines, shard counts, and
-// arrival processes, and a lifecycle ledger asserts a recycled slab never
+// fuzz diffs open vs. closed storage across engines and arrival
+// processes, and a lifecycle ledger asserts a recycled slab never
 // re-emits (or aliases) the departed packet's observer callbacks.
 #include <gtest/gtest.h>
 
@@ -200,8 +200,8 @@ Outcome run_once(bool slot_engine, const std::string& proto, ArrKind arr_kind, i
   return out;
 }
 
-/// Reclamation must not move a single bit — same engine, same shards, so
-/// even the floating-point contention matches exactly. Allocator-side
+/// Reclamation must not move a single bit — same engine, so even the
+/// floating-point contention matches exactly. Allocator-side
 /// numbers (slab_capacity, slabs_recycled) are NOT compared: they are
 /// the memory model itself, asserted separately.
 void expect_identical(const Outcome& a, const Outcome& b, const std::string& label) {
@@ -224,7 +224,7 @@ void expect_identical(const Outcome& a, const Outcome& b, const std::string& lab
   EXPECT_EQ(a.ledger.departures, b.ledger.departures);
 }
 
-TEST(PacketStoreIdentityFuzz, OpenVsClosedBitIdenticalAcrossEnginesAndShards) {
+TEST(PacketStoreIdentityFuzz, OpenVsClosedBitIdenticalOnBothEngines) {
   std::mt19937_64 gen(20260808);
   auto uniform = [&gen](std::uint64_t lo, std::uint64_t hi) {
     return std::uniform_int_distribution<std::uint64_t>(lo, hi)(gen);
@@ -247,35 +247,23 @@ TEST(PacketStoreIdentityFuzz, OpenVsClosedBitIdenticalAcrossEnginesAndShards) {
                               std::to_string(static_cast<int>(arr)) + "/jam" +
                               std::to_string(jam) + (slot_engine ? "/slot" : "/event");
 
-    // Reference: closed storage (no reuse), serial.
-    RunConfig closed1 = cfg;
-    closed1.shards = 1;
-    closed1.reclaim = false;
-    const Outcome ref = run_once(slot_engine, proto, arr, jam, closed1);
+    // Reference: closed storage (no reuse).
+    RunConfig closed = cfg;
+    closed.reclaim = false;
+    const Outcome ref = run_once(slot_engine, proto, arr, jam, closed);
     EXPECT_EQ(ref.result.slabs_recycled, 0u) << label;
     EXPECT_EQ(ref.result.slab_capacity, ref.result.counters.arrivals) << label;
 
-    for (unsigned shards : {1u, 4u}) {
-      RunConfig open = cfg;
-      open.shards = shards;
-      open.reclaim = true;
-      const Outcome got = run_once(slot_engine, proto, arr, jam, open);
-      expect_identical(ref, got, label + "/open-shards" + std::to_string(shards));
-      // The memory model: slabs ever allocated never exceed what the
-      // closed layout needs, and recycling accounts for the difference.
-      EXPECT_LE(got.result.slab_capacity, ref.result.slab_capacity)
-          << label << " shards " << shards;
-      EXPECT_EQ(got.result.slabs_recycled,
-                got.result.counters.arrivals - got.result.slab_capacity)
-          << label << " shards " << shards;
-      total_recycled += got.result.slabs_recycled;
-
-      RunConfig closed = cfg;
-      closed.shards = shards;
-      closed.reclaim = false;
-      expect_identical(ref, run_once(slot_engine, proto, arr, jam, closed),
-                       label + "/closed-shards" + std::to_string(shards));
-    }
+    RunConfig open = cfg;
+    open.reclaim = true;
+    const Outcome got = run_once(slot_engine, proto, arr, jam, open);
+    expect_identical(ref, got, label + "/open");
+    // The memory model: slabs ever allocated never exceed what the
+    // closed layout needs, and recycling accounts for the difference.
+    EXPECT_LE(got.result.slab_capacity, ref.result.slab_capacity) << label;
+    EXPECT_EQ(got.result.slabs_recycled, got.result.counters.arrivals - got.result.slab_capacity)
+        << label;
+    total_recycled += got.result.slabs_recycled;
   }
   // The sweep must actually exercise reuse, not vacuously pass on runs
   // whose backlog never drained.
@@ -287,25 +275,20 @@ TEST(PacketStoreRecycling, RecycledSlabsNeverReplayDepartedPacketsCallbacks) {
   // its fire-exactly-once assertions) proves no recycled slab ever
   // aliases the observer stream of its previous tenant.
   for (const bool slot_engine : {true, false}) {
-    for (const unsigned shards : {1u, 4u}) {
-      RunConfig cfg;
-      cfg.seed = 7;
-      cfg.shards = shards;
-      cfg.reclaim = true;
-      const Outcome out =
-          run_once(slot_engine, "low-sensing", ArrKind::kScheduleWithDrains, 0, cfg);
-      const std::string label = std::string(slot_engine ? "slot" : "event") + "/shards" +
-                                std::to_string(shards);
-      EXPECT_TRUE(out.result.drained) << label;
-      EXPECT_EQ(out.result.counters.arrivals, 48u) << label;
-      EXPECT_EQ(out.ledger.arrivals.size(), 48u) << label;
-      EXPECT_EQ(out.ledger.departures.size(), 48u) << label;
-      // The run really recycled: resident slabs track the 12-packet
-      // bursts, not the 48-packet total.
-      EXPECT_GT(out.result.slabs_recycled, 0u) << label;
-      EXPECT_LT(out.result.slab_capacity, 48u) << label;
-      EXPECT_GE(out.result.slab_capacity, out.result.peak_backlog) << label;
-    }
+    RunConfig cfg;
+    cfg.seed = 7;
+    cfg.reclaim = true;
+    const Outcome out = run_once(slot_engine, "low-sensing", ArrKind::kScheduleWithDrains, 0, cfg);
+    const std::string label = slot_engine ? "slot" : "event";
+    EXPECT_TRUE(out.result.drained) << label;
+    EXPECT_EQ(out.result.counters.arrivals, 48u) << label;
+    EXPECT_EQ(out.ledger.arrivals.size(), 48u) << label;
+    EXPECT_EQ(out.ledger.departures.size(), 48u) << label;
+    // The run really recycled: resident slabs track the 12-packet
+    // bursts, not the 48-packet total.
+    EXPECT_GT(out.result.slabs_recycled, 0u) << label;
+    EXPECT_LT(out.result.slab_capacity, 48u) << label;
+    EXPECT_GE(out.result.slab_capacity, out.result.peak_backlog) << label;
   }
 }
 

@@ -1,12 +1,12 @@
 // TSan-focused race lanes (ctest label "race"): hammer every piece of
 // concurrent machinery the library owns — ParallelExecutor submit /
-// shutdown / exception paths, the three-phase shard resolve with heavy
-// slots straddling the kParallelMinAccessors inline/parallel boundary,
-// the pool-reusing replicate_parallel fan-out, and streaming arrivals
-// with slab reclamation on. Every lane also asserts the determinism
-// contract on whatever it computes, so the suite is a (small) functional
-// test in unsanitized builds and a race detector under
-// `cmake --preset tsan && ctest --preset tsan`.
+// wait / shutdown / exception paths and the pool-reusing
+// replicate_parallel / parallel_map fan-out. A single run is serial, so
+// the replicate pool is the only place threads meet simulation state.
+// Every lane also asserts the determinism contract on whatever it
+// computes, so the suite is a (small) functional test in unsanitized
+// builds and a race detector under `cmake --preset tsan && ctest --preset
+// tsan`.
 //
 // Sizing: each lane finishes in a few seconds at TSan's 5-15x slowdown
 // (the per-test TIMEOUT is scaled by LOWSENSE_TEST_TIMEOUT_MULT on
@@ -16,7 +16,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -27,8 +26,6 @@
 #include "harness/experiment.hpp"
 #include "harness/parallel.hpp"
 #include "protocols/registry.hpp"
-#include "sim/event_engine.hpp"
-#include "sim/slot_engine.hpp"
 
 namespace lowsense {
 namespace {
@@ -82,17 +79,6 @@ TEST(ExecutorShutdown, InFlightExceptionAtDestructionDoesNotLeak) {
   EXPECT_EQ(executed.load(), 64);
 }
 
-TEST(ExecutorShutdown, SpinningPoolDrainsQueuedWorkToo) {
-  std::atomic<int> executed{0};
-  {
-    ParallelExecutor pool(4, /*spin_us=*/50);  // the sharded-resolve config
-    for (int i = 0; i < 256; ++i) {
-      pool.submit([&executed] { executed.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }
-  EXPECT_EQ(executed.load(), 256);
-}
-
 // ------------------------------------------------ executor: exceptions
 
 TEST(ExecutorRace, FirstExceptionWinsAndPoolStaysUsable) {
@@ -116,11 +102,11 @@ TEST(ExecutorRace, FirstExceptionWinsAndPoolStaysUsable) {
   EXPECT_EQ(executed.load(), 8 * (64 + 32));
 }
 
-TEST(ExecutorRace, WaitSubmitWaitCyclesOnSpinningPool) {
-  ParallelExecutor pool(4, /*spin_us=*/50);
+TEST(ExecutorRace, WaitSubmitWaitCycles) {
+  ParallelExecutor pool(4);
   std::atomic<std::uint64_t> sum{0};
-  // Many tiny fork-joins: the twice-per-slot rendezvous pattern of the
-  // sharded resolve, where the spin fast paths carry the synchronization.
+  // Many tiny fork-joins: every wait() must see the batch it follows
+  // complete, and the next submit must wake a sleeping worker.
   for (int round = 0; round < 2000; ++round) {
     for (int s = 0; s < 4; ++s) {
       pool.submit([&sum, s] { sum.fetch_add(s + 1, std::memory_order_relaxed); });
@@ -128,85 +114,6 @@ TEST(ExecutorRace, WaitSubmitWaitCyclesOnSpinningPool) {
     pool.wait();
   }
   EXPECT_EQ(sum.load(), 2000u * (1 + 2 + 3 + 4));
-}
-
-// ----------------------------------------- three-phase resolve stress
-
-struct EngineOutcome {
-  std::uint64_t successes = 0;
-  std::uint64_t active_slots = 0;
-  double contention = 0.0;
-  double access_sum = 0.0;
-  double latency_sum = 0.0;
-};
-
-template <typename Engine>
-EngineOutcome run_batch(const std::string& proto, std::uint64_t n, unsigned shards,
-                        std::uint64_t seed, std::uint64_t budget, bool jammed) {
-  auto factory = make_protocol(proto);
-  BatchArrivals arrivals(n);
-  std::unique_ptr<Jammer> jammer;
-  if (jammed) {
-    jammer = std::make_unique<RandomJammer>(0.2, 400, CounterRng(seed, 0xb1));
-  } else {
-    jammer = std::make_unique<NoJammer>();
-  }
-  RunConfig cfg;
-  cfg.seed = seed;
-  cfg.max_active_slots = budget;
-  cfg.shards = shards;
-  Engine engine(*factory, arrivals, *jammer, cfg);
-  const RunResult r = engine.run();
-  return {r.counters.successes, r.counters.active_slots, r.counters.contention,
-          r.access_stats.sum(), r.latency_stats.sum()};
-}
-
-void expect_same(const EngineOutcome& a, const EngineOutcome& b, const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(a.successes, b.successes);
-  EXPECT_EQ(a.active_slots, b.active_slots);
-  EXPECT_EQ(a.contention, b.contention);  // exact FP: same engine, same merge order
-  EXPECT_EQ(a.access_sum, b.access_sum);
-  EXPECT_EQ(a.latency_sum, b.latency_sum);
-}
-
-// High shard count, heavy first slots: a 1024-packet batch puts every
-// early bucket far beyond kParallelMinAccessors, so phases 1 and 3 run
-// on the pool; as the backlog decays below the threshold the SAME slots
-// switch to the inline path mid-run. TSan sees both sides of the
-// boundary; the shards=1 diff pins the trace.
-TEST(RaceStress, ThreePhaseResolveAtHighShardCounts) {
-  for (const bool jam : {false, true}) {
-    const EngineOutcome serial =
-        run_batch<SlotEngine>("low-sensing", 1024, 1, 17, 15000, jam);
-    for (unsigned shards : {4u, 8u}) {
-      const EngineOutcome sharded =
-          run_batch<SlotEngine>("low-sensing", 1024, shards, 17, 15000, jam);
-      expect_same(serial, sharded,
-                  "slot/jam=" + std::to_string(jam) + "/shards=" + std::to_string(shards));
-    }
-  }
-}
-
-// Same stress through the event engine, whose wheel-pop drives the
-// resolve from a different walk of time.
-TEST(RaceStress, EventEngineResolveAtHighShardCounts) {
-  const EngineOutcome serial =
-      run_batch<EventEngine>("binary-exponential", 1024, 1, 29, 15000, true);
-  for (unsigned shards : {4u, 8u}) {
-    const EngineOutcome sharded =
-        run_batch<EventEngine>("binary-exponential", 1024, shards, 29, 15000, true);
-    expect_same(serial, sharded, "event/shards=" + std::to_string(shards));
-  }
-}
-
-// Straddle the inline/parallel boundary on purpose: with n just above
-// kParallelMinAccessors, the first slots fork and the rest run inline,
-// so the handoff between the two paths happens many times per run.
-TEST(RaceStress, SlotsStraddleTheParallelMinAccessorsBoundary) {
-  const EngineOutcome serial = run_batch<SlotEngine>("low-sensing", 160, 1, 5, 30000, false);
-  const EngineOutcome sharded = run_batch<SlotEngine>("low-sensing", 160, 4, 5, 30000, false);
-  expect_same(serial, sharded, "boundary/shards=4");
 }
 
 // ------------------------------------- replicate_parallel pool reuse
@@ -236,6 +143,33 @@ TEST(RaceStress, PoolReusingReplicateParallelMatchesSerial) {
   }
 }
 
+// Open-system lane: unbounded Poisson arrivals with slab reclamation on,
+// one replicate per worker — arrivals keep acquiring recycled slabs while
+// sibling runs do the same on other threads.
+TEST(RaceStress, StreamingArrivalsWithReclaimOnReplicateWorkers) {
+  Scenario scenario;
+  scenario.name = "streaming-reclaim";
+  scenario.protocol = [] { return make_protocol("low-sensing"); };
+  scenario.arrivals = [](std::uint64_t seed) {
+    return std::make_unique<PoissonArrivals>(0.35, /*horizon=*/0, Rng(seed));  // unbounded
+  };
+  scenario.jammer = [](std::uint64_t) { return std::make_unique<NoJammer>(); };
+  scenario.config.max_slot = 30000;  // the budget, not the stream, ends the run
+  scenario.config.reclaim = true;
+
+  const Replicates serial = replicate(scenario, 4, 7);
+  const Replicates parallel = replicate_parallel(scenario, 4, 4u, 7);
+  ASSERT_EQ(serial.runs.size(), parallel.runs.size());
+  for (std::size_t i = 0; i < serial.runs.size(); ++i) {
+    EXPECT_GT(serial.runs[i].slabs_recycled, 0u);
+    EXPECT_EQ(serial.runs[i].counters.arrivals, parallel.runs[i].counters.arrivals);
+    EXPECT_EQ(serial.runs[i].counters.successes, parallel.runs[i].counters.successes);
+    EXPECT_EQ(serial.runs[i].counters.contention, parallel.runs[i].counters.contention);
+    EXPECT_EQ(serial.runs[i].peak_backlog, parallel.runs[i].peak_backlog);
+    EXPECT_EQ(serial.runs[i].slab_capacity, parallel.runs[i].slab_capacity);
+  }
+}
+
 TEST(RaceStress, ParallelMapOrderedResultsUnderChurn) {
   ParallelExecutor pool(4);
   for (int round = 0; round < 50; ++round) {
@@ -246,58 +180,6 @@ TEST(RaceStress, ParallelMapOrderedResultsUnderChurn) {
       ASSERT_EQ(out[i], static_cast<int>(i) * 3 + round) << "round " << round;
     }
   }
-}
-
-// Replicate-level threads x run-level shards: each replicate worker
-// constructs its own SimCore with a nested shard pool (which must detect
-// the oversubscription and stay fully blocking). The two pool layers
-// interleave constructor/destructor traffic — a classic shutdown-race
-// surface.
-TEST(RaceStress, NestedShardPoolsInsideReplicateWorkers) {
-  Scenario scenario;
-  scenario.name = "nested-pools";
-  scenario.protocol = [] { return make_protocol("low-sensing"); };
-  scenario.arrivals = [](std::uint64_t) { return std::make_unique<BatchArrivals>(192); };
-  scenario.jammer = [](std::uint64_t) { return std::make_unique<NoJammer>(); };
-  scenario.config.max_active_slots = 5000;
-  scenario.config.shards = 4;
-
-  const Replicates serial = replicate(scenario, 4, 1);
-  const Replicates nested = replicate_parallel(scenario, 4, 4u, 1);
-  ASSERT_EQ(serial.runs.size(), nested.runs.size());
-  for (std::size_t i = 0; i < serial.runs.size(); ++i) {
-    EXPECT_EQ(serial.runs[i].counters.successes, nested.runs[i].counters.successes);
-    EXPECT_EQ(serial.runs[i].counters.contention, nested.runs[i].counters.contention);
-  }
-}
-
-// ------------------------------- streaming arrivals with reclaim on
-
-// Open-system lane: unbounded Poisson arrivals, slab reclamation on,
-// sharded. Phase workers touch store lanes while arrivals keep acquiring
-// slabs between slots — the allocation/reuse traffic TSan should vet.
-TEST(RaceStress, StreamingArrivalsWithReclaimOnShardedEngines) {
-  auto run_streaming = [](unsigned shards) {
-    auto factory = make_protocol("low-sensing");
-    PoissonArrivals arrivals(0.35, /*horizon=*/0, Rng(99));  // unbounded stream
-    NoJammer jammer;
-    RunConfig cfg;
-    cfg.seed = 7;
-    cfg.max_slot = 30000;  // the budget, not the stream, ends the run
-    cfg.shards = shards;
-    cfg.reclaim = true;
-    EventEngine engine(*factory, arrivals, jammer, cfg);
-    return engine.run();
-  };
-  const RunResult serial = run_streaming(1);
-  const RunResult sharded = run_streaming(4);
-  EXPECT_GT(serial.slabs_recycled, 0u);
-  EXPECT_EQ(serial.counters.arrivals, sharded.counters.arrivals);
-  EXPECT_EQ(serial.counters.successes, sharded.counters.successes);
-  EXPECT_EQ(serial.counters.contention, sharded.counters.contention);
-  EXPECT_EQ(serial.peak_backlog, sharded.peak_backlog);
-  // slab_capacity is NOT compared: it is a placement witness (sum of
-  // per-shard free-list peaks), deliberately outside the observable set.
 }
 
 }  // namespace
