@@ -40,20 +40,34 @@ TEST(NumberParse, DoubleMustBeWholeAndFinite) {
 }
 
 TEST(ArgsNumbers, MalformedValuesThrowInsteadOfTruncating) {
-  // An empty value (`--jam-seed=`, a bare `--horizon`) is malformed too:
-  // falling back to the default would run what the caller did not ask for.
   const Args args = make_args({"--seed=1e6", "--reps=abc", "--max-active-slots=5e3",
                                "--threads=-1", "--rate=0.2x", "--lambda=nan", "--n=42",
-                               "--p=0.5", "--jam-seed=", "--horizon", "--alpha=", "--beta"});
-  for (const char* key : {"seed", "reps", "max-active-slots", "threads", "jam-seed", "horizon"}) {
+                               "--p=0.5"});
+  for (const char* key : {"seed", "reps", "max-active-slots", "threads"}) {
     EXPECT_THROW(args.u64(key, 1), std::invalid_argument) << key;
   }
-  for (const char* key : {"rate", "lambda", "alpha", "beta"}) {
+  for (const char* key : {"rate", "lambda"}) {
     EXPECT_THROW(args.f64(key, 1.0), std::invalid_argument) << key;
   }
   EXPECT_EQ(args.u64("n", 1), 42u);
   EXPECT_EQ(args.f64("p", 1.0), 0.5);
   EXPECT_EQ(args.u64("absent", 7), 7u);
+}
+
+TEST(ArgsNumbers, EmptyValuesThrowInsteadOfFallingBack) {
+  // An empty value (`--jam-seed=`, a bare `--horizon`) is malformed too:
+  // falling back to the default would run what the caller did not ask for.
+  const Args args = make_args({"--jam-seed=", "--horizon", "--alpha=", "--beta", "--csv"});
+  for (const char* key : {"jam-seed", "horizon"}) {
+    EXPECT_THROW(args.u64(key, 1), std::invalid_argument) << key;
+  }
+  for (const char* key : {"alpha", "beta"}) {
+    EXPECT_THROW(args.f64(key, 1.0), std::invalid_argument) << key;
+  }
+  // A bare flag is still a flag, and an absent key still falls back.
+  EXPECT_TRUE(args.flag("csv"));
+  EXPECT_EQ(args.u64("absent", 7), 7u);
+  EXPECT_EQ(args.f64("absent", 0.5), 0.5);
 }
 
 TEST(ArgsRepeats, KeyGivenTwiceIsReported) {
@@ -66,6 +80,19 @@ TEST(ArgsRepeats, KeyGivenTwiceIsReported) {
   EXPECT_EQ(args.unknown_keys({"reps"}),
             (std::vector<std::string>{"--arrivals (given more than once)",
                                       "--reps (given more than once)"}));
+}
+
+TEST(ArgsRepeats, DistinctKeysAndFlagsPass) {
+  // The repeat check keys on the whole flag name: prefixes, bare flags
+  // and keys that share a value are all distinct.
+  const Args args = make_args({"--seed=1", "--jam-seed=1", "--n=8", "--n-max=8", "--csv",
+                               "--reps=2"});
+  (void)args.u64("seed", 0);
+  (void)args.u64("jam-seed", 0);
+  (void)args.u64("n", 0);
+  (void)args.u64("n-max", 0);
+  (void)args.flag("csv");
+  EXPECT_TRUE(args.unknown_keys({"reps"}).empty());
 }
 
 TEST(ProtocolSpec, AlohaProbabilityIsTheWholeField) {

@@ -11,7 +11,6 @@
 #include "protocols/fixed_probability.hpp"
 #include "protocols/low_sensing.hpp"
 #include "protocols/mw_full_sensing.hpp"
-#include "sim/event_engine.hpp"
 #include "sim/sim_core.hpp"
 
 namespace lowsense {
@@ -43,7 +42,8 @@ RunResult run_batch(EngineKind walk, std::uint64_t n, std::uint64_t seed, RunCon
   return run_walk(walk, factory, arrivals, none, cfg);
 }
 
-// The walk-independent behaviours run on both walks of SimCore::run.
+// Every behaviour here is walk-independent, so each runs on both walks
+// of SimCore::run.
 class BothEngines : public ::testing::TestWithParam<EngineKind> {};
 
 INSTANTIATE_TEST_SUITE_P(Walks, BothEngines,
@@ -64,13 +64,13 @@ TEST_P(BothEngines, SinglePacketSucceedsImmediatelyFirstSend) {
   EXPECT_EQ(r.counters.backlog, 0u);
 }
 
-TEST(EventEngine, SinglePacketLatencyMatchesGeometricScale) {
+TEST_P(BothEngines, SinglePacketLatencyMatchesGeometricScale) {
   // Access prob at w_min=16 with c=0.5 is ~0.66 and send|access ~0.094,
   // so expected time-to-success is a few dozen slots; across seeds the
   // average should be modest.
   double total = 0.0;
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    const RunResult r = run_batch(EngineKind::kEvent, 1, seed);
+    const RunResult r = run_batch(GetParam(), 1, seed);
     total += r.latency_stats.mean();
   }
   EXPECT_LT(total / 50.0, 100.0);
@@ -79,8 +79,8 @@ TEST(EventEngine, SinglePacketLatencyMatchesGeometricScale) {
 
 // ----------------------------------------------------------- batch runs
 
-TEST(EventEngine, BatchDrainsAndConservesPackets) {
-  const RunResult r = run_batch(EngineKind::kEvent, 200, 11);
+TEST_P(BothEngines, BatchDrainsAndConservesPackets) {
+  const RunResult r = run_batch(GetParam(), 200, 11);
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.counters.arrivals, 200u);
   EXPECT_EQ(r.counters.successes, 200u);
@@ -89,31 +89,31 @@ TEST(EventEngine, BatchDrainsAndConservesPackets) {
   EXPECT_EQ(r.access_stats.count(), 200u);
 }
 
-TEST(EventEngine, ActiveSlotsAtLeastN) {
+TEST_P(BothEngines, ActiveSlotsAtLeastN) {
   // Each success occupies one slot, so S >= N always.
-  const RunResult r = run_batch(EngineKind::kEvent, 300, 12);
+  const RunResult r = run_batch(GetParam(), 300, 12);
   EXPECT_GE(r.counters.active_slots, 300u);
 }
 
-TEST(EventEngine, EverySuccessIsOneSend) {
+TEST_P(BothEngines, EverySuccessIsOneSend) {
   // Total sends >= total successes; each packet sends at least once.
-  const RunResult r = run_batch(EngineKind::kEvent, 100, 13);
+  const RunResult r = run_batch(GetParam(), 100, 13);
   EXPECT_GE(r.send_stats.sum(), 100.0);
   EXPECT_GE(r.send_stats.min(), 1.0);
 }
 
-TEST(EventEngine, DeterministicAcrossReruns) {
-  const RunResult a = run_batch(EngineKind::kEvent, 128, 77);
-  const RunResult b = run_batch(EngineKind::kEvent, 128, 77);
+TEST_P(BothEngines, DeterministicAcrossReruns) {
+  const RunResult a = run_batch(GetParam(), 128, 77);
+  const RunResult b = run_batch(GetParam(), 128, 77);
   EXPECT_EQ(a.counters.active_slots, b.counters.active_slots);
   EXPECT_EQ(a.counters.successes, b.counters.successes);
   EXPECT_EQ(a.max_accesses, b.max_accesses);
   EXPECT_DOUBLE_EQ(a.access_stats.mean(), b.access_stats.mean());
 }
 
-TEST(EventEngine, DifferentSeedsDiffer) {
-  const RunResult a = run_batch(EngineKind::kEvent, 128, 1);
-  const RunResult b = run_batch(EngineKind::kEvent, 128, 2);
+TEST_P(BothEngines, DifferentSeedsDiffer) {
+  const RunResult a = run_batch(GetParam(), 128, 1);
+  const RunResult b = run_batch(GetParam(), 128, 2);
   EXPECT_NE(a.counters.active_slots, b.counters.active_slots);
 }
 
@@ -150,12 +150,11 @@ TEST_P(BothEngines, InactiveGapsAreNotCounted) {
   EXPECT_LT(r.counters.active_slots, 10000u);
 }
 
-TEST(EventEngine, PoissonStreamDrains) {
+TEST_P(BothEngines, PoissonStreamDrains) {
   LowSensingFactory factory;
   PoissonArrivals arrivals(0.05, 500, Rng(21));
   NoJammer none;
-  EventEngine engine(factory, arrivals, none, config_with_seed(21));
-  const RunResult r = engine.run();
+  const RunResult r = run_walk(GetParam(), factory, arrivals, none, config_with_seed(21));
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.counters.successes, 500u);
 }
@@ -175,34 +174,31 @@ TEST_P(BothEngines, FullJammingPreventsAllProgress) {
   EXPECT_EQ(r.counters.jammed_active_slots, r.counters.active_slots);
 }
 
-TEST(EventEngine, JammedThroughputCreditsJams) {
+TEST_P(BothEngines, JammedThroughputCreditsJams) {
   // With (T+J)/S, a fully jammed run still has throughput 1.
   LowSensingFactory factory;
   BatchArrivals arrivals(10);
   RandomJammer jammer(1.0, 0, CounterRng(1));
   RunConfig cfg = config_with_seed(4);
   cfg.max_active_slots = 500;
-  EventEngine engine(factory, arrivals, jammer, cfg);
-  const RunResult r = engine.run();
+  const RunResult r = run_walk(GetParam(), factory, arrivals, jammer, cfg);
   EXPECT_DOUBLE_EQ(r.throughput(), 1.0);
 }
 
-TEST(EventEngine, ScheduledJamsAreCounted) {
+TEST_P(BothEngines, ScheduledJamsAreCounted) {
   LowSensingFactory factory;
   BatchArrivals arrivals(5);
   ScheduleJammer jammer({0, 1, 2});
-  EventEngine engine(factory, arrivals, jammer, config_with_seed(6));
-  const RunResult r = engine.run();
+  const RunResult r = run_walk(GetParam(), factory, arrivals, jammer, config_with_seed(6));
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.counters.jammed_active_slots, 3u);
 }
 
-TEST(EventEngine, ReactiveBlanketWithBudgetDelaysButNotForever) {
+TEST_P(BothEngines, ReactiveBlanketWithBudgetDelaysButNotForever) {
   LowSensingFactory factory;
   BatchArrivals arrivals(20);
   ReactiveBlanketJammer jammer(50);
-  EventEngine engine(factory, arrivals, jammer, config_with_seed(8));
-  const RunResult r = engine.run();
+  const RunResult r = run_walk(GetParam(), factory, arrivals, jammer, config_with_seed(8));
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.counters.successes, 20u);
   EXPECT_EQ(r.jams_total, 50u);  // the jammer spends its whole budget
@@ -210,24 +206,22 @@ TEST(EventEngine, ReactiveBlanketWithBudgetDelaysButNotForever) {
 
 // ---------------------------------------------------- protocol coverage
 
-TEST(EventEngine, MwFullSensingBatchDrains) {
+TEST_P(BothEngines, MwFullSensingBatchDrains) {
   MwFullSensingFactory factory;
   BatchArrivals arrivals(100);
   NoJammer none;
-  EventEngine engine(factory, arrivals, none, config_with_seed(14));
-  const RunResult r = engine.run();
+  const RunResult r = run_walk(GetParam(), factory, arrivals, none, config_with_seed(14));
   EXPECT_TRUE(r.drained);
   // Full sensing: every packet accesses every slot it is alive, so the
   // max equals that packet's latency.
   EXPECT_DOUBLE_EQ(r.access_stats.max(), r.latency_stats.max());
 }
 
-TEST(EventEngine, FixedProbabilityGenieDrains) {
+TEST_P(BothEngines, FixedProbabilityGenieDrains) {
   FixedProbabilityFactory factory(1.0 / 64.0);
   BatchArrivals arrivals(64);
   NoJammer none;
-  EventEngine engine(factory, arrivals, none, config_with_seed(15));
-  const RunResult r = engine.run();
+  const RunResult r = run_walk(GetParam(), factory, arrivals, none, config_with_seed(15));
   EXPECT_TRUE(r.drained);
   EXPECT_EQ(r.counters.successes, 64u);
 }
@@ -245,6 +239,67 @@ TEST_P(BothEngines, ZeroAccessProbabilityTerminates) {
   EXPECT_FALSE(r.drained);
   EXPECT_EQ(r.counters.successes, 0u);
   EXPECT_EQ(r.counters.active_slots, 1u);
+}
+
+// ------------------------------------------------------ observer order
+
+TEST_P(BothEngines, SlotCallbacksRunDepartureThenWindowChangesInIdOrder) {
+  // Within one resolved slot the observers see, in this order: at most one
+  // on_departure (the winner), then on_window_change in ascending id for
+  // the survivors, then on_slot. Potential trackers and traces rely on it.
+  struct OrderLog final : Observer {
+    Slot open = kNoSlot;  // slot whose callbacks are in flight
+    bool departed = false;
+    PacketId winner = 0;
+    PacketId last_change = 0;
+    bool changed = false;
+    std::uint64_t departures = 0;
+    std::uint64_t changes = 0;
+    std::uint64_t violations = 0;
+
+    void enter(Slot slot) {
+      if (slot == open) return;
+      open = slot;
+      departed = false;
+      changed = false;
+    }
+    void on_departure(Slot slot, PacketId id, Slot, std::uint64_t, std::uint64_t,
+                      double) override {
+      enter(slot);
+      violations += departed || changed;  // one winner, before any window change
+      departed = true;
+      winner = id;
+      ++departures;
+    }
+    void on_window_change(Slot slot, PacketId id, double, double) override {
+      enter(slot);
+      violations += changed && id <= last_change;
+      violations += departed && id == winner;  // the winner gets no feedback
+      changed = true;
+      last_change = id;
+      ++changes;
+    }
+    void on_slot(const SlotInfo& info, const Counters&) override {
+      if (open != kNoSlot) violations += info.slot != open;  // no spill into the next slot
+      violations += departed != info.success;
+      open = kNoSlot;
+      departed = false;
+      changed = false;
+    }
+  };
+
+  LowSensingFactory factory;
+  BatchArrivals arrivals(256);
+  RandomJammer jammer(0.1, 0, CounterRng(3));
+  RunConfig cfg = config_with_seed(31);
+  detail::SimCore core(factory, arrivals, jammer, cfg);
+  OrderLog log;
+  core.add_observer(&log);
+  const RunResult r = core.run(GetParam());
+  EXPECT_TRUE(r.drained);
+  EXPECT_EQ(log.departures, 256u);
+  EXPECT_GT(log.changes, log.departures);
+  EXPECT_EQ(log.violations, 0u);
 }
 
 }  // namespace

@@ -143,6 +143,36 @@ TEST(RaceStress, PoolReusingReplicateParallelMatchesSerial) {
   }
 }
 
+// Heavy slots on many workers: a 1024-packet batch puts hundreds of
+// accessors in every early bucket, on both walks, with eight replicates
+// in flight at once. Each run's scratch, store and wheel are its own, so
+// the threaded replicates must match the serial ones exactly.
+TEST(RaceStress, HeavyBatchReplicatesOnBothWalks) {
+  for (const EngineKind walk : {EngineKind::kEvent, EngineKind::kSlot}) {
+    Scenario scenario;
+    scenario.name = "heavy-batch";
+    scenario.engine = walk;
+    scenario.protocol = [] { return make_protocol("low-sensing"); };
+    scenario.arrivals = [](std::uint64_t) { return std::make_unique<BatchArrivals>(1024); };
+    scenario.jammer = [](std::uint64_t seed) {
+      return std::make_unique<RandomJammer>(0.2, 400, CounterRng(seed, 0xb1));
+    };
+    scenario.config.max_active_slots = 5000;  // the heavy early slots are the point
+
+    const Replicates serial = replicate(scenario, 8, 17);
+    const Replicates parallel = replicate_parallel(scenario, 8, 8u, 17);
+    ASSERT_EQ(serial.runs.size(), parallel.runs.size());
+    for (std::size_t i = 0; i < serial.runs.size(); ++i) {
+      SCOPED_TRACE(std::string(engine_name(walk)) + "/rep " + std::to_string(i));
+      EXPECT_EQ(serial.runs[i].counters.successes, parallel.runs[i].counters.successes);
+      EXPECT_EQ(serial.runs[i].counters.active_slots, parallel.runs[i].counters.active_slots);
+      EXPECT_EQ(serial.runs[i].counters.contention, parallel.runs[i].counters.contention);
+      EXPECT_EQ(serial.runs[i].access_stats.sum(), parallel.runs[i].access_stats.sum());
+      EXPECT_EQ(serial.runs[i].latency_stats.sum(), parallel.runs[i].latency_stats.sum());
+    }
+  }
+}
+
 // Open-system lane: unbounded Poisson arrivals with slab reclamation on,
 // one replicate per worker — arrivals keep acquiring recycled slabs while
 // sibling runs do the same on other threads.
