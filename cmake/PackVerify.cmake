@@ -1,8 +1,8 @@
 # Verifies one golden scenario pack end to end:
 #
-#   1. runs `lowsense_cli --pack=` under each engine (event, slot) — a
-#      nonzero exit means a pinned digest or an expectation failed under
-#      that engine;
+#   1. runs `lowsense_cli --pack=` (the suite runner's pack mode) under
+#      each engine (event, slot) — exit 1 means a pinned digest or an
+#      expectation failed under that engine, exit 2 a usage error;
 #   2. regenerates the manifest under each engine and diffs it against
 #      the checked-in golden *.manifest.jsonl with pack_diff.py —
 #      manifests carry only engine-invariant fields, so any byte of drift
@@ -28,7 +28,7 @@ foreach(engine event slot)
   if(NOT rc_run EQUAL 0)
     message(FATAL_ERROR
             "${PACK_NAME}: --engine=${engine} exited with ${rc_run} "
-            "(digest or expectation failure)")
+            "(1: digest or expectation failure, 2: usage error)")
   endif()
 
   execute_process(

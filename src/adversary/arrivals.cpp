@@ -64,6 +64,10 @@ AqtArrivals::AqtArrivals(double lambda, Slot granularity, AqtPattern pattern,
       rng_(rng) {
   if (!(lambda > 0.0) || lambda > 1.0) throw std::invalid_argument("AqtArrivals: lambda in (0,1]");
   if (s_ < 2) throw std::invalid_argument("AqtArrivals: granularity must be >= 2");
+  // floor(λ·S) > kMaxWindowBudget, computed in double as fill_window does.
+  if (lambda * static_cast<double>(s_) >= static_cast<double>(kMaxWindowBudget) + 1.0) {
+    throw std::invalid_argument("AqtArrivals: window budget lambda*S must be <= 2^20");
+  }
 }
 
 std::string AqtArrivals::name() const {

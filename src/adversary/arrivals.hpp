@@ -112,6 +112,12 @@ enum class AqtPattern {
 /// `max_packets` of 0 means an unbounded stream (steady-state mode).
 class AqtArrivals final : public ArrivalProcess {
  public:
+  /// Ceiling on the per-window budget floor(λ·S). A window's bursts are
+  /// built whole (kSpread pushes up to λ·S entries, kRandom draws and
+  /// sorts λ·S/2 offsets) however few packets remain, so the constructor
+  /// rejects a larger budget. Small λ with a huge S stays legal.
+  static constexpr std::uint64_t kMaxWindowBudget = std::uint64_t{1} << 20;
+
   AqtArrivals(double lambda, Slot granularity, AqtPattern pattern, std::uint64_t max_packets,
               Rng rng);
   std::optional<ArrivalBurst> next() override;

@@ -252,7 +252,10 @@ double Args::f64(const std::string& key, double fallback) const {
 std::string Args::str(const std::string& key, const std::string& fallback) const {
   queried_.push_back(key);
   for (const auto& [k, v] : kv_) {
-    if (k == key) return v;
+    if (k == key) {
+      if (!v.empty()) return v;
+      throw std::invalid_argument("--" + key + "=: expected a value");
+    }
   }
   return fallback;
 }

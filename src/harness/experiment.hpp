@@ -118,10 +118,10 @@ class Args {
  public:
   Args(int argc, char** argv);
 
-  /// The flag's value through parse_u64 / parse_f64 (core/parse.hpp), or
-  /// `fallback` when absent. An empty (`--seed=`, `--seed`) or malformed
-  /// value throws std::invalid_argument naming the flag; entry points
-  /// exit 2 on it.
+  /// The flag's value (through parse_u64 / parse_f64, core/parse.hpp, for
+  /// the numeric accessors), or `fallback` when absent. An empty
+  /// (`--seed=`, `--json=`, a bare `--seed`) or malformed value throws
+  /// std::invalid_argument naming the flag; entry points exit 2 on it.
   std::uint64_t u64(const std::string& key, std::uint64_t fallback) const;
   double f64(const std::string& key, double fallback) const;
   std::string str(const std::string& key, const std::string& fallback) const;

@@ -1,8 +1,6 @@
 #include "harness/parallel.hpp"
 
-#include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 namespace lowsense {
 
@@ -28,15 +26,6 @@ Replicates replicate_parallel(const Scenario& scenario, int reps, ParallelExecut
     return run_scenario(scenario, base_seed + static_cast<std::uint64_t>(i));
   });
   return out;
-}
-
-Replicates replicate_parallel(const Scenario& scenario, int reps, unsigned threads,
-                              std::uint64_t base_seed) {
-  if (reps <= 0) return {};
-  if (threads <= 1 || reps == 1) return replicate(scenario, reps, base_seed);
-
-  ParallelExecutor pool(std::min<unsigned>(threads, static_cast<unsigned>(reps)));
-  return replicate_parallel(scenario, reps, &pool, base_seed);
 }
 
 }  // namespace lowsense

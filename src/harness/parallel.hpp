@@ -24,18 +24,14 @@ namespace lowsense {
 unsigned thread_count_flag(const Args& args, const std::string& key);
 
 /// Parallel counterpart of `replicate`: runs `reps` replicates with seeds
-/// base_seed, base_seed+1, ... on `threads` workers. Replicate i writes
-/// slot i of the result vector, so ordering (and therefore every summary)
-/// is deterministic regardless of scheduling; threads <= 1 degenerates to
+/// base_seed, base_seed+1, ... on a caller-owned pool (the suite runner
+/// keeps one pool alive across a bench's whole sweep instead of
+/// respawning threads per cell). Replicate i writes slot i of the result
+/// vector, so ordering (and therefore every summary) is deterministic
+/// regardless of scheduling; a null or one-worker pool degenerates to
 /// the serial path. The scenario's factory lambdas are invoked
 /// concurrently and must be re-entrant (the stock benches' factories are:
 /// they only read captured values).
-Replicates replicate_parallel(const Scenario& scenario, int reps, unsigned threads,
-                              std::uint64_t base_seed = 1);
-
-/// Same, on a caller-owned pool (the suite runner keeps one pool alive
-/// across a bench's whole sweep instead of respawning threads per cell).
-/// `pool` may be nullptr for the serial path.
 Replicates replicate_parallel(const Scenario& scenario, int reps, ParallelExecutor* pool,
                               std::uint64_t base_seed = 1);
 

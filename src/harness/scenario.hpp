@@ -140,8 +140,9 @@ PackEntryOutcome run_pack_entry(const PackEntry& entry, const PackRunner& runner
 
 /// Suite integration: runs every entry via ctx.run_one (so the --engine=
 /// override applies), records a ScenarioResult per entry, and
-/// turns pinned digests + expectations into ctx.check verdicts. Returns
-/// the outcomes in pack order for manifest writing.
+/// turns pinned digests + expectations into ctx.check verdicts (which
+/// run_bench_suite makes the exit code). Returns the outcomes in pack
+/// order for manifest writing.
 std::vector<PackEntryOutcome> run_scenario_pack(BenchContext& ctx, const ScenarioPack& pack);
 
 /// Renders the full manifest (one line per outcome, trailing newline).

@@ -40,14 +40,24 @@ const char* kind_name(BenchParam::Kind kind) {
   return "?";
 }
 
-void print_usage(const BenchDef& def, std::FILE* to) {
+// The basename of argv[0], so usage names the program that printed it.
+std::string program_name(int argc, char** argv) {
+  if (argc < 1 || argv[0] == nullptr) return "bench";
+  const std::string path = argv[0];
+  return path.substr(path.rfind('/') + 1);
+}
+
+void print_usage(const BenchDef& def, const std::string& prog, std::FILE* to) {
+  const std::string pad(prog.size() + 8, ' ');
   std::fprintf(to, "%s · %s — %s\n\n", def.id.c_str(), def.paper_anchor.c_str(),
                def.claim.c_str());
   std::fprintf(to,
-               "usage: bench [--reps=N] [--seed=S] [--threads=K] [--engine=event|slot]\n"
-               "             [--jammer=SPEC] [--jam-seed=J]\n"
-               "             [--arrivals=SPEC] [--json=PATH] [--pack=FILE[:name]]\n"
-               "             [--manifest=PATH] [--list] [--help]\n");
+               "usage: %s [--reps=N] [--seed=S] [--threads=K] [--engine=event|slot]\n"
+               "%s[--jammer=SPEC] [--jam-seed=J] [--arrivals=SPEC] [--json=PATH]\n"
+               "%s[--PARAM=VALUE ...] [--list] [--help]\n"
+               "       %s --pack=FILE[:name] [--manifest=PATH] [--engine=event|slot]\n"
+               "%s[--json=PATH]\n",
+               prog.c_str(), pad.c_str(), pad.c_str(), prog.c_str(), pad.c_str());
   std::fprintf(to, "defaults: --reps=%d --seed=%llu --threads=1 --engine=event\n", def.default_reps,
                static_cast<unsigned long long>(def.default_seed));
   if (!def.params.empty()) {
@@ -68,8 +78,12 @@ void print_usage(const BenchDef& def, std::FILE* to) {
                "--jam-seed=J pins randomized jammers to one fixed adversary across replicates.\n"
                "--json=PATH writes the structured lowsense-bench/v1 result document.\n"
                "--pack=FILE[:name] runs the scenario pack (every entry, or just `name`)\n"
-               "  instead of the bench body; entry digests/expectations become checks.\n"
-               "--manifest=PATH writes the pack's lowsense-pack/v1 JSONL manifest.\n");
+               "  at its pinned seeds instead of the bench body; any other flag but\n"
+               "  --engine=, --json= and --manifest= is a usage error. Exit 0 when every\n"
+               "  pinned digest and expectation passes, 1 when one fails.\n"
+               "--manifest=PATH writes the pack's lowsense-pack/v1 JSONL manifest.\n"
+               "Exit 2 on a usage error. Outside --pack=, shape checks are reported\n"
+               "  as verdicts and a completed run exits 0.\n");
 }
 
 void print_list(const BenchDef& def) {
@@ -122,30 +136,40 @@ bool parse_suite_options(const BenchDef& def, const Args& args, SuiteOptions* ou
     out->threads = thread_count_flag(args, "threads");
     out->engine = parse_engine(args.str("engine", "event"));
     out->jam_seed = args.u64("jam-seed", 0);
-    // The bench's own numeric params, so that a malformed one is a usage
-    // error here rather than a throw out of BenchContext.
+    out->jammer_spec = args.str("jammer", "");
+    out->arrivals_spec = args.str("arrivals", "");
+    out->json_path = args.str("json", "");
+    out->pack_ref = args.str("pack", "");
+    out->manifest_path = args.str("manifest", "");
+    // The bench's own params, so that a malformed or empty one is a
+    // usage error here rather than a throw out of BenchContext.
     for (const auto& p : def.params) {
       if (p.kind == BenchParam::Kind::kU64) param_u64(args, p);
       if (p.kind == BenchParam::Kind::kF64) param_f64(args, p);
+      if (p.kind == BenchParam::Kind::kStr) args.str(p.key, p.fallback);
     }
   } catch (const std::invalid_argument& e) {
     *error = e.what();
     return false;
   }
-  out->jammer_spec = args.str("jammer", "");
   if (!out->jammer_spec.empty() && !parse_jammer_spec(out->jammer_spec, out->jam_seed)) {
     *error = "bad --jammer= spec '" + out->jammer_spec + "'";
     return false;
   }
-  out->arrivals_spec = args.str("arrivals", "");
   if (!out->arrivals_spec.empty() && !parse_arrivals_spec(out->arrivals_spec)) {
     *error = "bad --arrivals= spec '" + out->arrivals_spec + "'";
     return false;
   }
-  out->json_path = args.str("json", "");
-  out->pack_ref = args.str("pack", "");
-  out->manifest_path = args.str("manifest", "");
   if (!out->pack_ref.empty()) {
+    // The pack pins every scenario and seed: a flag that would change
+    // them (or a bench param, which the pack never reads) is refused.
+    for (const std::string& k : args.keys()) {
+      if (k != "pack" && k != "engine" && k != "json" && k != "manifest") {
+        *error = "--" + k + "= does not apply with --pack= (the pack pins every scenario " +
+                 "and seed; only --engine=, --json= and --manifest= do)";
+        return false;
+      }
+    }
     ScenarioPack pack;
     if (!load_scenario_pack_ref(out->pack_ref, &pack, error)) return false;
   } else if (!out->manifest_path.empty()) {
@@ -303,6 +327,7 @@ BenchMeta make_bench_meta(const BenchDef& def, const Args& args, const SuiteOpti
 
 int run_bench_suite(const BenchDef& def, int argc, char** argv) {
   const Args args(argc, argv);
+  const std::string prog = program_name(argc, argv);
 
   std::vector<std::string> known = suite_flag_keys();
   for (const auto& p : def.params) known.push_back(p.key);
@@ -311,12 +336,12 @@ int run_bench_suite(const BenchDef& def, int argc, char** argv) {
     std::string bad;
     for (const auto& k : unknown) bad += " " + k;
     std::fprintf(stderr, "unknown or repeated flag(s):%s\n\n", bad.c_str());
-    print_usage(def, stderr);
+    print_usage(def, prog, stderr);
     return 2;
   }
 
   if (args.flag("help")) {
-    print_usage(def, stdout);
+    print_usage(def, prog, stdout);
     return 0;
   }
   if (args.flag("list")) {
@@ -328,7 +353,7 @@ int run_bench_suite(const BenchDef& def, int argc, char** argv) {
   std::string error;
   if (!parse_suite_options(def, args, &opts, &error)) {
     std::fprintf(stderr, "%s\n\n", error.c_str());
-    print_usage(def, stderr);
+    print_usage(def, prog, stderr);
     return 2;
   }
 
@@ -373,6 +398,12 @@ int run_bench_suite(const BenchDef& def, int argc, char** argv) {
     } else {
       def.body(ctx);
     }
+  } catch (const std::invalid_argument& e) {
+    // A value only the body can judge (e.g. an unknown protocol name):
+    // the same usage error as a malformed flag.
+    std::fprintf(stderr, "%s\n\n", e.what());
+    print_usage(def, prog, stderr);
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench %s failed: %s\n", def.id.c_str(), e.what());
     return 1;
@@ -381,7 +412,10 @@ int run_bench_suite(const BenchDef& def, int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   for (auto* s : sinks) s->end(elapsed);
 
-  return json && !json->write_ok() ? 1 : 0;
+  if (json && !json->write_ok()) return 1;
+  // A pack's pinned digests and expectations are its verdict; a bench
+  // body's shape checks are only reported.
+  return opts.pack_ref.empty() || ctx.all_checks_passed() ? 0 : 1;
 }
 
 }  // namespace lowsense

@@ -1,17 +1,20 @@
-// BenchSuite: the shared main() machinery behind every T* bench and the
-// examples. A bench declares WHAT it measures — id, paper anchor, claim,
+// BenchSuite: the one front end behind every T* bench and lowsense_cli.
+// A bench declares WHAT it measures — id, paper anchor, claim,
 // bench-specific parameters, and a body that builds scenarios and shape
 // checks — and the suite runner provides everything else uniformly:
 //
 //   * the uniform flag set
 //       --reps= --seed= --threads= --engine=event|slot
 //       --jammer=SPEC --jam-seed= --arrivals=SPEC --json=PATH
-//       --list --help
-//     plus the declared bench params, with unknown/misspelled flags
-//     rejected (usage + nonzero exit) instead of silently ignored;
+//       --pack=FILE[:name] --manifest=PATH --list --help
+//     plus the declared bench params, with unknown, misspelled, repeated
+//     or empty-valued flags rejected (usage + exit 2) instead of silently
+//     ignored;
 //   * replicate_parallel execution on one persistent thread pool, with
 //     results always in seed order so serial and parallel runs are
 //     byte-identical;
+//   * scenario packs (--pack=): every entry at its pinned seed, with the
+//     pinned digests and expectations as the exit code;
 //   * ResultSink fan-out: the classic console report plus the stable
 //     "lowsense-bench/v1" BENCH_T*.json schema when --json= is given
 //     (scenario params, per-metric summaries, slots/s, PASS/FAIL
@@ -70,18 +73,21 @@ struct SuiteOptions {
   std::string arrivals_spec;  ///< empty = keep the bench's own arrivals
   std::string json_path;
   /// --pack=FILE[:name]: run the scenario pack INSTEAD of the bench body
-  /// (the bench still provides the CLI identity and the uniform flags —
-  /// the --engine override applies to every entry). Validated eagerly
-  /// at parse time like the jammer/arrival specs.
+  /// (the bench still provides the CLI identity; the --engine override
+  /// applies to every entry, and every flag but --engine=, --json= and
+  /// --manifest= is refused). Validated eagerly at parse time like the
+  /// jammer/arrival specs.
   std::string pack_ref;
   /// --manifest=PATH with --pack=: write the pack's JSONL manifest.
   std::string manifest_path;
 };
 
 /// Resolves the uniform flags against `def`'s defaults, validating engine
-/// names and jammer/arrival specs eagerly. Returns false and sets *error
-/// on a malformed value. Exposed separately so the flag round-trip tests
-/// can exercise parsing without running a bench.
+/// names, jammer/arrival specs, the pack reference and the declared
+/// params eagerly. Returns false and sets *error on a malformed or empty
+/// value, on --manifest= without --pack=, and on any flag but --engine=,
+/// --json= and --manifest= next to --pack=. Exposed separately so the
+/// flag round-trip tests can exercise parsing without running a bench.
 bool parse_suite_options(const BenchDef& def, const Args& args, SuiteOptions* out,
                          std::string* error);
 
@@ -165,10 +171,17 @@ class BenchContext {
 BenchMeta make_bench_meta(const BenchDef& def, const Args& args, const SuiteOptions& opts);
 
 /// The shared main(): parse + validate flags, honor --list/--help, set up
-/// sinks and the pool, run the body, close the sinks. Returns 0 on a
-/// completed run (shape-check verdicts are reported, not exit codes, so
-/// smoke configs with tiny sweeps stay usable), 1 on a crashed body or an
-/// unwritable --json= path, 2 on a CLI error.
+/// sinks and the pool, run the body (or the --pack= entries), close the
+/// sinks. Exit codes:
+///   0  a completed body run (its shape-check verdicts are reported, not
+///      exit codes, so smoke configs with tiny sweeps stay usable), or a
+///      pack run whose every pinned digest and expectation passed;
+///   1  a failed pack digest or expectation, a crashed body, or an
+///      unwritable --json= / --manifest= path;
+///   2  a usage error: a bad flag, or a std::invalid_argument escaping
+///      the body (a value only the body can judge, such as an unknown
+///      protocol name).
+/// Usage text names the program by the basename of argv[0].
 int run_bench_suite(const BenchDef& def, int argc, char** argv);
 
 }  // namespace lowsense

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "adversary/arrivals.hpp"
@@ -182,6 +184,22 @@ TEST(AqtArrivals, RejectsBadParameters) {
   EXPECT_THROW(AqtArrivals(0.0, 64, AqtPattern::kSpread, 10, Rng(1)), std::invalid_argument);
   EXPECT_THROW(AqtArrivals(1.5, 64, AqtPattern::kSpread, 10, Rng(1)), std::invalid_argument);
   EXPECT_THROW(AqtArrivals(0.5, 1, AqtPattern::kSpread, 10, Rng(1)), std::invalid_argument);
+}
+
+TEST(AqtArrivals, RejectsWindowBudgetAboveTheCeiling) {
+  constexpr std::uint64_t kMax = AqtArrivals::kMaxWindowBudget;
+  for (const AqtPattern pattern :
+       {AqtPattern::kSpread, AqtPattern::kFront, AqtPattern::kRandom, AqtPattern::kPulse}) {
+    EXPECT_THROW(AqtArrivals(1.0, kMax + 1, pattern, 10, Rng(1)), std::invalid_argument);
+    EXPECT_THROW(AqtArrivals(0.5, 100000000000ULL, pattern, 10, Rng(1)), std::invalid_argument);
+    EXPECT_THROW(AqtArrivals(1.0, UINT64_MAX, pattern, 10, Rng(1)), std::invalid_argument);
+    EXPECT_NO_THROW(AqtArrivals(1.0, kMax, pattern, 10, Rng(1)));
+  }
+  // Small lambda with a huge granularity: a budget of 100 per window.
+  AqtArrivals sparse(1e-9, 100000000000ULL, AqtPattern::kSpread, 10, Rng(1));
+  const auto bursts = drain(sparse);
+  EXPECT_EQ(total(bursts), 10u);
+  expect_strictly_increasing(bursts);
 }
 
 TEST(AqtArrivals, NamesIdentifyPattern) {

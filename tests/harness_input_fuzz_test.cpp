@@ -7,8 +7,10 @@
 // error, a spec with nullptr. Never an abort, a throw or a sanitizer
 // report; the asan-ubsan preset runs this suite with the fast set.
 //
-// Parsing only: no mutated scenario is run, so a legal-but-huge value
-// (batch:10^18) costs nothing here.
+// Every accepted arrival spec also yields up to 64 bursts, so a spec whose
+// first windows cost unbounded work or memory fails here. No mutated
+// scenario is simulated, so a legal-but-huge value (batch:10^18) costs
+// nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -172,7 +174,12 @@ TEST(InputFuzz, MutatedSpecsParseOrReturnNull) {
     const std::string a = mutate(arrivals[iter % arrivals.size()], gen);
     if (const auto factory = parse_arrivals_spec(a)) {
       ++accepted;
-      EXPECT_NO_THROW(EXPECT_NE(factory(1), nullptr) << a) << a;
+      EXPECT_NO_THROW({
+        const auto process = factory(1);
+        EXPECT_NE(process, nullptr) << a;
+        int pulled = 0;
+        while (process && pulled < 64 && process->next()) ++pulled;
+      }) << a;
     } else {
       ++rejected;
     }

@@ -95,7 +95,8 @@ TEST(ReplicateParallel, DeterministicAcrossThreadCounts) {
   const Replicates serial = replicate(s, reps, seed);
   ASSERT_EQ(serial.runs.size(), static_cast<std::size_t>(reps));
   for (unsigned threads : {1u, 4u, 8u}) {
-    const Replicates par = replicate_parallel(s, reps, threads, seed);
+    ParallelExecutor pool(threads);
+    const Replicates par = replicate_parallel(s, reps, &pool, seed);
     ASSERT_EQ(par.runs.size(), serial.runs.size()) << "threads=" << threads;
     for (std::size_t i = 0; i < serial.runs.size(); ++i) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " rep=" + std::to_string(i));
@@ -107,7 +108,8 @@ TEST(ReplicateParallel, DeterministicAcrossThreadCounts) {
 TEST(ReplicateParallel, SummariesMatchSerial) {
   const Scenario s = batch_scenario(64);
   const Replicates serial = replicate(s, 8, 7);
-  const Replicates par = replicate_parallel(s, 8, 4, 7);
+  ParallelExecutor pool(4);
+  const Replicates par = replicate_parallel(s, 8, &pool, 7);
   const Summary a = serial.throughput();
   const Summary b = par.throughput();
   EXPECT_EQ(a.count, b.count);
@@ -118,13 +120,15 @@ TEST(ReplicateParallel, SummariesMatchSerial) {
 }
 
 TEST(ReplicateParallel, ZeroRepsGivesEmpty) {
-  const Replicates r = replicate_parallel(batch_scenario(16), 0, 4);
+  ParallelExecutor pool(4);
+  const Replicates r = replicate_parallel(batch_scenario(16), 0, &pool);
   EXPECT_TRUE(r.runs.empty());
 }
 
 TEST(ReplicateParallel, PropagatesScenarioErrors) {
   Scenario s;  // missing protocol and arrivals
-  EXPECT_THROW(replicate_parallel(s, 4, 2), std::invalid_argument);
+  ParallelExecutor pool(2);
+  EXPECT_THROW(replicate_parallel(s, 4, &pool), std::invalid_argument);
 }
 
 TEST(Replicates, MergedStatsPoolAcrossRuns) {

@@ -70,6 +70,17 @@ TEST(ArgsNumbers, EmptyValuesThrowInsteadOfFallingBack) {
   EXPECT_EQ(args.f64("absent", 0.5), 0.5);
 }
 
+TEST(ArgsStrings, EmptyValuesThrowInsteadOfFallingBack) {
+  // `--pack=` or `--json=` with nothing after it asked for something; the
+  // fallback ("no pack", "no JSON") would silently run what it did not.
+  const Args args = make_args({"--pack=", "--json=", "--protocol", "--arrivals=batch:10"});
+  for (const char* key : {"pack", "json", "protocol"}) {
+    EXPECT_THROW(args.str(key, "fallback"), std::invalid_argument) << key;
+  }
+  EXPECT_EQ(args.str("arrivals", "batch:1"), "batch:10");
+  EXPECT_EQ(args.str("absent", "fallback"), "fallback");
+}
+
 TEST(ArgsRepeats, KeyGivenTwiceIsReported) {
   // Whichever value an accessor reads, the other is silently dropped — so
   // a repeated key is a usage error, malformed second value or not.
@@ -139,6 +150,17 @@ TEST(ArrivalsSpec, PoissonRateAboveTwoToThe52IsRejected) {
 TEST(ArrivalsSpec, AqtLambdaOutOfRangeIsRejected) {
   EXPECT_FALSE(parse_arrivals_spec("aqt:1.5,5,front,10"));
   EXPECT_FALSE(parse_arrivals_spec("aqt:0.1,1,front,10"));  // granularity < 2
+}
+
+TEST(ArrivalsSpec, AqtWindowBudgetAboveTheCeilingIsRejected) {
+  // floor(lambda*S) above 2^20 entries per window: refused at parse time,
+  // whatever the pattern or packet count.
+  EXPECT_FALSE(parse_arrivals_spec("aqt:0.5,100000000000,spread,10"));
+  EXPECT_FALSE(parse_arrivals_spec("aqt:1,1048577,front,10"));
+  EXPECT_FALSE(parse_arrivals_spec("aqt:1,18446744073709551615,random,0"));
+  EXPECT_TRUE(parse_arrivals_spec("aqt:1,1048576,spread,10"));
+  // A small lambda keeps a huge granularity legal.
+  EXPECT_TRUE(parse_arrivals_spec("aqt:0.000000001,100000000000,spread,10"));
 }
 
 TEST(ArrivalsSpec, SignedBatchSizeIsRejected) {

@@ -1,10 +1,12 @@
 // Unit tests for the BenchSuite layer: uniform flag parsing round-trips,
-// unknown-flag rejection, the JSON result schema (golden), the JSON
-// writer, and the deterministic parallel_map fan-out.
+// unknown-flag rejection, the pack-mode flag and exit-code rules, the JSON
+// result schema (golden), the JSON writer, and the deterministic
+// parallel_map fan-out.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -116,9 +118,11 @@ TEST(SuiteOptionsTest, BadValuesAreRejectedEagerly) {
   EXPECT_NE(error.find("arrivals"), std::string::npos);
   EXPECT_FALSE(parse_suite_options(mini_def(), make_args({"--reps=0"}), &opts, &error));
   // Malformed numbers, including the declared bench params, are usage
-  // errors: no trailing bytes, no sign on a count, no exponent form.
+  // errors: no trailing bytes, no sign on a count, no exponent form. So
+  // is an empty string value (it would silently mean "no pack", ...).
   for (const char* bad : {"--reps=abc", "--seed=1e6", "--jam-seed=-3", "--n=4x", "--n=-1",
-                          "--rate=0.2x", "--rate=nan"}) {
+                          "--rate=0.2x", "--rate=nan", "--pack=", "--json=", "--manifest=",
+                          "--jammer=", "--arrivals=", "--engine=", "--mode="}) {
     error.clear();
     EXPECT_FALSE(parse_suite_options(mini_def(), make_args({bad}), &opts, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
@@ -133,6 +137,95 @@ TEST(SuiteOptionsTest, BadValuesAreRejectedEagerly) {
   }
   ASSERT_TRUE(parse_suite_options(mini_def(), make_args({"--threads=4096"}), &opts, &error));
   EXPECT_EQ(opts.threads, ParallelExecutor::kMaxThreads);
+}
+
+// ------------------------------------------------------------ pack mode
+
+const std::string kGoldenPack = std::string(LOWSENSE_TEST_DATA_DIR) + "/golden_scenario.pack";
+
+TEST(SuiteOptionsTest, PackRefusesEveryFlagThePackPins) {
+  const std::string pack = "--pack=" + kGoldenPack;
+  for (const char* bad : {"--reps=2", "--seed=3", "--jammer=random:0.5", "--jam-seed=4",
+                          "--arrivals=batch:10", "--threads=2", "--n=5", "--mode=beta"}) {
+    SuiteOptions opts;
+    std::string error;
+    EXPECT_FALSE(parse_suite_options(mini_def(), make_args({pack.c_str(), bad}), &opts, &error))
+        << bad;
+    EXPECT_NE(error.find("does not apply with --pack="), std::string::npos) << bad << ": " << error;
+  }
+  SuiteOptions opts;
+  std::string error;
+  EXPECT_TRUE(parse_suite_options(mini_def(),
+                                  make_args({pack.c_str(), "--engine=slot", "--json=/tmp/x.json",
+                                             "--manifest=/tmp/x.jsonl"}),
+                                  &opts, &error))
+      << error;
+}
+
+// Runs mini_def in pack mode on a one-entry pack; returns the exit code.
+int run_pack(const std::string& entry_lines, const std::string& manifest = "") {
+  const std::string path = ::testing::TempDir() + "/suite_exit_rule.pack";
+  {
+    std::ofstream out(path);
+    out << "pack = exit-rule\n\n[tiny]\nprotocol = low-sensing\narrivals = batch:16\n"
+        << "seed = 5\nbudget = 20000\n" << entry_lines;
+  }
+  const std::string pack_flag = "--pack=" + path;
+  const std::string manifest_flag = "--manifest=" + manifest;
+  std::vector<const char*> argv{"prog", pack_flag.c_str()};
+  if (!manifest.empty()) argv.push_back(manifest_flag.c_str());
+  bool ran_body = false;
+  BenchDef def = mini_def();
+  def.body = [&ran_body](BenchContext&) { ran_body = true; };
+  ::testing::internal::CaptureStdout();
+  const int rc =
+      run_bench_suite(def, static_cast<int>(argv.size()), const_cast<char**>(argv.data()));
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_FALSE(ran_body);
+  return rc;
+}
+
+TEST(SuiteRunnerTest, PackExitCodeIsItsVerdict) {
+  EXPECT_EQ(run_pack("expect = drained\n"), 0);
+  EXPECT_EQ(run_pack("expect = drained\nexpect = throughput >= 2\n"), 1);
+  // A wrong pinned digest fails the run, and the manifest is still
+  // written (it is what pack_diff.py compares).
+  const std::string manifest = ::testing::TempDir() + "/suite_exit_rule.manifest.jsonl";
+  std::remove(manifest.c_str());
+  EXPECT_EQ(run_pack("digest = 0123456789abcdef\n", manifest), 1);
+  std::ifstream written(manifest);
+  std::string line;
+  ASSERT_TRUE(std::getline(written, line));
+  EXPECT_NE(line.find("\"scenario\":\"tiny\""), std::string::npos) << line;
+  EXPECT_EQ(line.find("0123456789abcdef"), std::string::npos) << line;
+}
+
+TEST(SuiteRunnerTest, InvalidArgumentFromTheBodyIsAUsageError) {
+  // A value only the body can judge (lowsense_cli's --protocol=) exits 2
+  // like any bad flag; any other escaping exception is a crash, exit 1.
+  std::vector<const char*> argv{"prog", "--reps=1"};
+  BenchDef def = mini_def();
+  def.body = [](BenchContext&) { throw std::invalid_argument("unknown protocol 'x'"); };
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_bench_suite(def, 2, const_cast<char**>(argv.data())), 2);
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("unknown protocol 'x'"),
+            std::string::npos);
+  def.body = [](BenchContext&) { throw std::runtime_error("engine fault"); };
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(run_bench_suite(def, 2, const_cast<char**>(argv.data())), 1);
+  ::testing::internal::GetCapturedStdout();
+}
+
+TEST(SuiteRunnerTest, UsageNamesTheProgram) {
+  std::vector<const char*> argv{"tools/bin/my_runner", "--thread=8"};
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run_bench_suite(mini_def(), 2, const_cast<char**>(argv.data())), 2);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("usage: my_runner [--reps=N]"), std::string::npos) << err;
+  EXPECT_NE(err.find("       my_runner --pack=FILE[:name]"), std::string::npos) << err;
+  EXPECT_EQ(err.find("usage: bench"), std::string::npos) << err;
 }
 
 TEST(SuiteRunnerTest, UnknownFlagExitsNonzeroWithoutRunningTheBody) {

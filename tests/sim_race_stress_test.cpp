@@ -160,7 +160,8 @@ TEST(RaceStress, HeavyBatchReplicatesOnBothWalks) {
     scenario.config.max_active_slots = 5000;  // the heavy early slots are the point
 
     const Replicates serial = replicate(scenario, 8, 17);
-    const Replicates parallel = replicate_parallel(scenario, 8, 8u, 17);
+    ParallelExecutor pool(8);
+    const Replicates parallel = replicate_parallel(scenario, 8, &pool, 17);
     ASSERT_EQ(serial.runs.size(), parallel.runs.size());
     for (std::size_t i = 0; i < serial.runs.size(); ++i) {
       SCOPED_TRACE(std::string(engine_name(walk)) + "/rep " + std::to_string(i));
@@ -188,7 +189,8 @@ TEST(RaceStress, StreamingArrivalsWithReclaimOnReplicateWorkers) {
   scenario.config.reclaim = true;
 
   const Replicates serial = replicate(scenario, 4, 7);
-  const Replicates parallel = replicate_parallel(scenario, 4, 4u, 7);
+  ParallelExecutor pool(4);
+  const Replicates parallel = replicate_parallel(scenario, 4, &pool, 7);
   ASSERT_EQ(serial.runs.size(), parallel.runs.size());
   for (std::size_t i = 0; i < serial.runs.size(); ++i) {
     EXPECT_GT(serial.runs[i].slabs_recycled, 0u);
